@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import VerificationError
 
@@ -109,101 +108,112 @@ def check(
     Raises :class:`VerificationError` with a shortest-path counterexample
     trace for safety violations and deadlocks, and with a culprit state
     for liveness violations.
+
+    Each canonical state is hashed once, when it is first seen, and
+    interned as a dense int id; everything else (BFS frontier, parent
+    chain, depth, successor lists, quiescence) is kept in id-indexed
+    lists.
     """
     start = time.perf_counter()
-    parents: Dict[State, Optional[Tuple[State, str]]] = {}
-    depth: Dict[State, int] = {}
-    successors: Dict[State, List[State]] = {}
-    frontier = deque()
+    canonicalize = model.canonicalize
+    index: Dict[State, int] = {}
+    states: List[State] = []  # id -> state; doubles as the BFS queue
+    parent: List[int] = []  # id -> predecessor id (-1 for initial states)
+    label: List[Optional[str]] = []  # id -> label of the discovering edge
+    depth: List[int] = []
+    successors: List[List[int]] = []
+    quiescent = bytearray()
     for s in model.initial_states():
-        s = model.canonicalize(s)
-        if s not in parents:
-            parents[s] = None
-            depth[s] = 0
-            frontier.append(s)
+        s = canonicalize(s)
+        if s not in index:
+            index[s] = len(states)
+            states.append(s)
+            parent.append(-1)
+            label.append(None)
+            depth.append(0)
 
     transitions = 0
-    diameter = 0
-    quiescent = 0
-    while frontier:
-        state = frontier.popleft()
+    sid = 0
+    while sid < len(states):
+        state = states[sid]
         try:
             model.check_invariants(state)
         except VerificationError as err:
             raise VerificationError(
-                f"{model.name}: invariant violated: {err}\n" + _trace(parents, state)
+                f"{model.name}: invariant violated: {err}\n"
+                + _trace(states, parent, label, sid)
             ) from err
         succs = model.transitions(state)
         transitions += len(succs)
-        if model.is_quiescent(state):
-            quiescent += 1
-        elif not succs:
+        quiet = 1 if model.is_quiescent(state) else 0
+        quiescent.append(quiet)
+        if not quiet and not succs:
             raise VerificationError(
                 f"{model.name}: deadlock (non-quiescent state with no transitions)\n"
-                + _trace(parents, state)
+                + _trace(states, parent, label, sid)
             )
-        next_states = []
-        for label, nxt in succs:
-            nxt = model.canonicalize(nxt)
-            next_states.append(nxt)
-            if nxt not in parents:
-                parents[nxt] = (state, label)
-                depth[nxt] = depth[state] + 1
-                diameter = max(diameter, depth[nxt])
-                frontier.append(nxt)
-                if max_states is not None and len(parents) > max_states:
+        next_ids = []
+        for lbl, nxt in succs:
+            nxt = canonicalize(nxt)
+            nid = index.get(nxt)
+            if nid is None:
+                nid = index[nxt] = len(states)
+                states.append(nxt)
+                parent.append(sid)
+                label.append(lbl)
+                depth.append(depth[sid] + 1)
+                if max_states is not None and nid >= max_states:
                     raise VerificationError(
                         f"{model.name}: state space exceeds {max_states} states"
                     )
+            next_ids.append(nid)
         if check_liveness:
-            successors[state] = next_states
+            successors.append(next_ids)
+        sid += 1
 
     if check_liveness:
-        _check_liveness(model, parents.keys(), successors)
+        _check_liveness(model, states, successors, quiescent)
 
     return CheckResult(
         model=model.name,
-        states=len(parents),
+        states=len(states),
         transitions=transitions,
-        diameter=diameter,
-        quiescent_states=quiescent,
+        diameter=depth[-1] if depth else 0,  # BFS discovers in depth order
+        quiescent_states=sum(quiescent),
         elapsed_s=time.perf_counter() - start,
         liveness_checked=check_liveness,
     )
 
 
-def _check_liveness(model: Model, states, successors) -> None:
+def _check_liveness(model: Model, states, successors, quiescent) -> None:
     """Every reachable state must be able to reach a quiescent state."""
     # Backward reachability from quiescent states over reversed edges.
-    reverse: Dict[State, List[State]] = {}
-    for src, nexts in successors.items():
-        for nxt in nexts:
-            reverse.setdefault(nxt, []).append(src)
-    good = deque(s for s in states if model.is_quiescent(s))
-    can_quiesce = set(good)
+    preds: List[List[int]] = [[] for _ in states]
+    for src, next_ids in enumerate(successors):
+        for nid in next_ids:
+            preds[nid].append(src)
+    can_quiesce = bytearray(quiescent)
+    good = [sid for sid, quiet in enumerate(quiescent) if quiet]
     while good:
-        s = good.popleft()
-        for pred in reverse.get(s, ()):
-            if pred not in can_quiesce:
-                can_quiesce.add(pred)
+        for pred in preds[good.pop()]:
+            if not can_quiesce[pred]:
+                can_quiesce[pred] = 1
                 good.append(pred)
-    stuck = [s for s in states if s not in can_quiesce]
+    stuck = can_quiesce.count(0)
     if stuck:
         raise VerificationError(
-            f"{model.name}: liveness violated — {len(stuck)} states cannot reach "
-            f"quiescence, e.g. {stuck[0]!r}"
+            f"{model.name}: liveness violated — {stuck} states cannot reach "
+            f"quiescence, e.g. {states[can_quiesce.index(0)]!r}"
         )
 
 
-def _trace(parents, state) -> str:
-    """Shortest counterexample trace from an initial state."""
+def _trace(states, parent, label, sid) -> str:
+    """Shortest counterexample trace from an initial state to ``sid``."""
     steps = []
-    cur = state
-    while parents.get(cur) is not None:
-        prev, label = parents[cur]
-        steps.append(f"  {label} -> {cur!r}")
-        cur = prev
-    steps.append(f"  initial: {cur!r}")
+    while parent[sid] >= 0:
+        steps.append(f"  {label[sid]} -> {states[sid]!r}")
+        sid = parent[sid]
+    steps.append(f"  initial: {states[sid]!r}")
     return "counterexample (most recent last):\n" + "\n".join(reversed(steps))
 
 

@@ -29,19 +29,10 @@ from typing import List, Tuple
 
 from repro.common.errors import VerificationError
 from repro.verification.checker import Model
+from repro.verification.token_model import _add, _remove
 
 I, S, O, M = "I", "S", "O", "M"
 IS, IM, IMO, WB = "IS", "IM", "IMo", "WB"
-
-
-def _add(net, msg):
-    return tuple(sorted(net + (msg,), key=repr))
-
-
-def _remove(net, msg):
-    lst = list(net)
-    lst.remove(msg)
-    return tuple(lst)
 
 
 class DirFlatModel(Model):

@@ -30,6 +30,8 @@ State encoding (hashable tuples):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import List, Tuple
 
 from repro.common.errors import VerificationError
@@ -243,7 +245,7 @@ class TokenSafetyModel(_TokenBase):
         """Processors are fully symmetric in the safety model: fold each
         state onto the lexicographically smallest processor relabeling
         (the paper's symmetry-reduction technique)."""
-        return min((_permute_core(state, perm) for perm in _permutations(self.n)), key=repr)
+        return min((_permute_core(state, perm) for perm in _permutations(self.n)), key=_state_repr)
 
 
 class TokenDstModel(_TokenBase):
@@ -597,7 +599,7 @@ class TokenArbModel(_TokenBase):
         unlike the dst model, whose fixed priorities break it."""
         return min(
             (self._permute(state, perm) for perm in _permutations(self.n)),
-            key=repr,
+            key=_state_repr,
         )
 
     def _permute(self, state, perm):
@@ -670,13 +672,14 @@ class TokenRecreateModel(_TokenBase):
         return [(caches, mem, net, wants, ceps, 0, None, (0, False))]
 
     def _mk(self, state, **kw):
-        record = dict(zip(self.FIELDS, state))
-        record.update(kw)
-        return tuple(record[f] for f in self.FIELDS)
+        slots = list(state)
+        for field, value in kw.items():
+            slots[self.FIELDS.index(field)] = value
+        return tuple(slots)
 
     def transitions(self, state):
         caches, mem, net, wants, ceps, epoch, rec, lost = state
-        mk = lambda s, **kw: self._mk(s, **kw)  # noqa: E731
+        mk = self._mk
         out = []
         out += self._want_transitions(state, mk)
         out += self._complete_transitions(state, mk)
@@ -872,15 +875,51 @@ class TokenRecreateModel(_TokenBase):
                 nnet.append((msg[0], msg[1], msg[2] - epoch))
             else:  # ack
                 nnet.append((msg[0], msg[1], msg[2] - epoch, msg[3]))
-        return (caches, mem, tuple(sorted(nnet, key=repr)), wants,
+        return (caches, mem, tuple(sorted(nnet, key=_repr)), wants,
                 nceps, 0, rec, lost)
 
 
 # ---------------------------------------------------------------------------
 # Multiset helpers for the in-flight message pool (unordered network).
+# Shared with dir_model.
 # ---------------------------------------------------------------------------
+class _ReprMemo(dict):
+    """``repr`` of each value seen so far; the models' alphabets are finite.
+
+    Equal values share an entry, so one memo must never see two equal
+    values that print differently, such as ``(0, 0)`` and ``(0, False)``.
+    Messages can share one memo: a message kind has the same field types
+    in every model.  State components cannot (a recreation state holds
+    ``(0, 0)`` epochs next to a ``(0, False)`` ledger), hence
+    :class:`_SlotReprs`.
+    """
+
+    def __missing__(self, x):
+        r = self[x] = repr(x)
+        return r
+
+
+class _SlotReprs(dict):
+    """State length -> one :class:`_ReprMemo` per state slot."""
+
+    def __missing__(self, n):
+        memos = self[n] = tuple(_ReprMemo() for _ in range(n))
+        return memos
+
+
+_repr = _ReprMemo().__getitem__
+_SLOT_REPRS = _SlotReprs()
+
+
+def _state_repr(state: Tuple) -> str:
+    """``repr(state)`` for a state of two or more slots, memoized per
+    component: the symmetry-reduction sort key."""
+    memos = _SLOT_REPRS[len(state)]
+    return "(" + ", ".join([m[c] for m, c in zip(memos, state)]) + ")"
+
+
 def _add(net: Tuple, msg) -> Tuple:
-    return tuple(sorted(net + (msg,), key=repr))
+    return tuple(sorted(net + (msg,), key=_repr))
 
 
 def _remove(net: Tuple, msg) -> Tuple:
@@ -896,10 +935,9 @@ def _set_entry(table: Tuple, proc: int, entry) -> Tuple:
 # ---------------------------------------------------------------------------
 # Symmetry reduction helpers (processor permutations).
 # ---------------------------------------------------------------------------
-def _permutations(n: int):
-    import itertools
-
-    return list(itertools.permutations(range(n)))
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(itertools.permutations(range(n)))
 
 
 def _permute_msg(msg, perm):
@@ -919,5 +957,5 @@ def _permute_core(state, perm):
     for old, new in enumerate(perm):
         ncaches[new] = caches[old]
         nwants[new] = wants[old]
-    nnet = tuple(sorted((_permute_msg(m, perm) for m in net), key=repr))
+    nnet = tuple(sorted((_permute_msg(m, perm) for m in net), key=_repr))
     return (tuple(ncaches), mem, nnet, tuple(nwants)) + tuple(state[4:])

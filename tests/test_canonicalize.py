@@ -23,7 +23,7 @@ import pytest
 from repro.common.errors import VerificationError
 from repro.verification.checker import Model, check
 from repro.verification.dir_model import DirFlatModel
-from repro.verification.token_model import TokenDstModel, TokenSafetyModel
+from repro.verification.token_model import TokenArbModel, TokenDstModel, TokenSafetyModel
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,20 @@ def test_checker_counts_pinned_token_dst():
         "transitions": 235912,
         "diameter": 34,
         "quiescent_states": 98,
+        "liveness_checked": True,
+    }
+
+
+@pytest.mark.tier2
+def test_checker_counts_pinned_token_arb_full():
+    """The full ``python -m repro verify`` arb model (about two minutes)."""
+    result = check(TokenArbModel(coarse_sends=True, atomic_broadcasts=True))
+    assert result.to_dict() == {
+        "model": "TokenCMP-arb",
+        "states": 444360,
+        "transitions": 2886922,
+        "diameter": 45,
+        "quiescent_states": 52,
         "liveness_checked": True,
     }
 

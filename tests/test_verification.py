@@ -321,3 +321,174 @@ def test_canonicalize_is_idempotent_and_orbit_stable():
     assert model.canonicalize(canon) == canon
     for perm in _permutations(model.n):
         assert model.canonicalize(_permute_core(state, perm)) == canon
+
+
+# ---------------------------------------------------------------------------
+# Checker regressions: traces, liveness report, state budget, call counts,
+# and the models' memoized repr ordering.
+# ---------------------------------------------------------------------------
+class GraphModel(Model):
+    """An explicit labelled graph from ``"q"``, its only quiescent state."""
+
+    name = "toy-graph"
+
+    def __init__(self, edges, bad=()):
+        self.edges = edges
+        self.bad = set(bad)
+
+    def initial_states(self):
+        return ["q"]
+
+    def transitions(self, state):
+        return list(self.edges.get(state, ()))
+
+    def check_invariants(self, state):
+        if state in self.bad:
+            raise VerificationError(f"reached {state}")
+
+    def is_quiescent(self, state):
+        return state == "q"
+
+
+#: Two routes to ``x``: the BFS-shortest one (q -a-> s1 -c-> x) is found
+#: before the longer q -b-> s2 -d-> s3 -e-> x, and s1's own edge to x wins
+#: over s2's equally short one because s1 is expanded first.
+DIAMOND = {
+    "q": [("a", "s1"), ("b", "s2")],
+    "s1": [("c", "x"), ("back", "q")],
+    "s2": [("d", "s3"), ("f", "x")],
+    "s3": [("e", "x")],
+}
+
+
+def test_invariant_counterexample_is_the_bfs_shortest_trace():
+    with pytest.raises(VerificationError) as err:
+        check(GraphModel(DIAMOND, bad={"x"}))
+    assert str(err.value) == (
+        "toy-graph: invariant violated: reached x\n"
+        "counterexample (most recent last):\n"
+        "  initial: 'q'\n"
+        "  a -> 's1'\n"
+        "  c -> 'x'"
+    )
+
+
+def test_deadlock_counterexample_is_the_bfs_shortest_trace():
+    with pytest.raises(VerificationError) as err:
+        check(GraphModel(DIAMOND))  # x is the only dead end
+    assert str(err.value) == (
+        "toy-graph: deadlock (non-quiescent state with no transitions)\n"
+        "counterexample (most recent last):\n"
+        "  initial: 'q'\n"
+        "  a -> 's1'\n"
+        "  c -> 'x'"
+    )
+
+
+def test_liveness_reports_stuck_count_and_first_stuck_state():
+    # t2 is discovered before t1 (both from s2), and {t2, t1, t3} is a trap
+    # the quiescent q can never be reached from again.
+    edges = {
+        "q": [("a", "s1"), ("b", "s2")],
+        "s1": [("back", "q")],
+        "s2": [("in2", "t2"), ("in1", "t1"), ("back", "q")],
+        "t1": [("spin", "t3")],
+        "t2": [("spin", "t1")],
+        "t3": [("spin", "t2")],
+    }
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(VerificationError) as err:
+            check(GraphModel(edges))
+        messages.add(str(err.value))
+    assert messages == {
+        "toy-graph: liveness violated — 3 states cannot reach quiescence, "
+        "e.g. 't2'"
+    }
+
+
+class Chain(Model):
+    """0 -> 1 -> ... -> length-1, counting ``transitions`` calls."""
+
+    name = "toy-chain"
+
+    def __init__(self, length):
+        self.length = length
+        self.expanded = 0
+
+    def initial_states(self):
+        return [0]
+
+    def transitions(self, state):
+        self.expanded += 1
+        return [("inc", state + 1)] if state + 1 < self.length else []
+
+    def is_quiescent(self, state):
+        return True
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_state_budget_raises_exactly_when_state_k_plus_1_is_discovered(k):
+    assert check(Chain(k), max_states=k).states == k
+    model = Chain(k + 1)
+    with pytest.raises(VerificationError, match=f"exceeds {k} states"):
+        check(model, max_states=k)
+    # State k+1 (id k) is discovered while expanding state k (id k-1).
+    assert model.expanded == k
+
+
+def test_is_quiescent_runs_once_per_state():
+    class Counting(CounterModel):
+        def __init__(self):
+            self.calls = {}
+
+        def is_quiescent(self, state):
+            self.calls[state] = self.calls.get(state, 0) + 1
+            return super().is_quiescent(state)
+
+    for liveness in (True, False):
+        model = Counting()
+        result = check(model, check_liveness=liveness)
+        assert model.calls == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert result.quiescent_states == 1
+
+
+def _sample_states(model, limit=400):
+    """The first ``limit`` canonical states in BFS order."""
+    seen = {}
+    frontier = [model.canonicalize(s) for s in model.initial_states()]
+    while frontier and len(seen) < limit:
+        state = frontier.pop(0)
+        if state in seen:
+            continue
+        seen[state] = None
+        frontier.extend(model.canonicalize(n) for _l, n in model.transitions(state))
+    return list(seen)
+
+
+def test_memoized_repr_matches_repr_on_real_states():
+    """The memos serve every model in one process, so sample all of them
+    before checking any: a value one model memoizes must not change the
+    key another model's equal-but-differently-typed value gets."""
+    from repro.verification.token_model import _state_repr
+
+    samples = [
+        (_sample_states(model), net_slot) for model, net_slot in (
+            (TokenSafetyModel(), 2),
+            (TokenDstModel(coarse_sends=True), 2),
+            (TokenArbModel(coarse_sends=True), 2),
+            (TokenRecreateModel(), 2),
+            (DirFlatModel(), 3),
+        )
+    ]
+    for states, net_slot in samples:
+        for state in states:
+            _state_repr(state)
+    for states, net_slot in samples:
+        messages = {m for s in states for m in s[net_slot]}
+        assert len(states) == 400 and messages
+        for state in states:
+            assert _state_repr(state) == repr(state)
+            net = state[net_slot]
+            for msg in messages:
+                assert _add(net, msg) == tuple(sorted(net + (msg,), key=repr))
