@@ -72,3 +72,12 @@ class Address(int):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Address({int(self):#x})"
+
+
+def classify_source(src: NodeId, own_chip: int) -> str:
+    """Profile label for where a miss's data came from."""
+    if src.kind is NodeKind.MEM:
+        return "memory"
+    local = "local" if src.chip == own_chip else "remote"
+    kind = "l2" if src.kind is NodeKind.L2 else "l1"
+    return f"{local}-{kind}"

@@ -17,7 +17,7 @@ import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.rng import substream
-from repro.common.types import NodeId, NodeKind
+from repro.common.types import NodeId, NodeKind, classify_source
 from repro.core.base import TokenCacheController
 from repro.core.predictor import ContentionPredictor
 from repro.core.timeout import TimeoutEstimator
@@ -414,11 +414,3 @@ class TokenL1Controller(TokenCacheController):
             self._token_state_changed(addr)  # hand contended block onward
         tx.done(result)
 
-
-def classify_source(src: NodeId, own_chip: int) -> str:
-    """Profile label for where a miss's data came from."""
-    if src.kind is NodeKind.MEM:
-        return "memory"
-    local = "local" if src.chip == own_chip else "remote"
-    kind = "l2" if src.kind is NodeKind.L2 else "l1"
-    return f"{local}-{kind}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.common.stats import Stats
+from repro.cpu.ops import Fetch
 from repro.sim.kernel import Simulator
 
 
@@ -43,8 +44,6 @@ class Sequencer:
 
     def issue(self, op, done: Callable[[int], None]) -> None:
         """Start ``op``; ``done(result)`` fires at completion time."""
-        from repro.cpu.ops import Fetch
-
         assert not self._busy, f"proc {self.proc}: second op while one outstanding"
         self._busy = True
         self._start = self.sim.now
@@ -64,8 +63,6 @@ class Sequencer:
     def issue_batch(self, ops, done: Callable[[list], None]) -> None:
         """Issue independent ops concurrently; ``done(results)`` when all
         complete (results in op order).  Ops must hit distinct blocks."""
-        from repro.cpu.ops import Fetch
-
         assert not self._busy, f"proc {self.proc}: batch while op outstanding"
         blocks = [self.l1d.params.block_of(op.addr) for op in ops]
         if len(set(blocks)) != len(blocks):

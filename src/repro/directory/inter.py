@@ -49,6 +49,13 @@ class InterDirController:
         self.image = MemoryImage()
         self.lines: Dict[int, HomeLine] = {}
         self.dir_latency_ps = 0 if cfg.dir_zero_cycle else params.dram_latency_ps
+        # Hot-path bindings, resolved once instead of per message.
+        self._latency_ps = params.mem_ctrl_latency_ps
+        # DRAM data reads overlap the directory access: only the rest waits.
+        self._data_extra_ps = max(0, params.dram_latency_ps - self.dir_latency_ps)
+        self._call_after = sim.call_after
+        self._receive_cb = self._receive
+        self._execute_cb = self._execute
         net.register(node, self.handle)
 
     # ------------------------------------------------------------------
@@ -70,7 +77,7 @@ class InterDirController:
         self.net.send(Message(mtype=mtype, src=self.node, dst=dst, addr=addr, **kw))
 
     def handle(self, msg: Message) -> None:
-        self.sim.schedule(self.params.mem_ctrl_latency_ps, self._receive, msg)
+        self._call_after(self._latency_ps, self._receive_cb, msg)
 
     def _receive(self, msg: Message) -> None:
         t = msg.mtype
@@ -92,10 +99,11 @@ class InterDirController:
         line.busy = True
         # The directory lookup itself costs a DRAM access (or nothing in
         # the zero-cycle variant) before any action can be taken.
-        self.sim.schedule(self.dir_latency_ps, self._execute, msg, line)
+        self._call_after(self.dir_latency_ps, self._execute_cb, (msg, line))
 
     # ------------------------------------------------------------------
-    def _execute(self, msg: Message, line: HomeLine) -> None:
+    def _execute(self, pack) -> None:
+        msg, line = pack
         t = msg.mtype
         if t is MsgType.DIR_WB_REQ:
             self._send(MsgType.DIR_WB_GRANT, msg.src, msg.addr)
@@ -108,13 +116,12 @@ class InterDirController:
 
     def _memory_data_send(self, dst: NodeId, addr: int, grant: str, acks: int) -> None:
         """Send data read from DRAM; the read overlaps the directory access."""
-        extra_delay = max(0, self.params.dram_latency_ps - self.dir_latency_ps)
         msg = Message(
             mtype=MsgType.DIR_DATA, src=self.node, dst=dst, addr=addr,
             data=self.image.read(addr), dirty=False, acks=acks, extra=grant,
         )
         self.stats.bump("interdir.dram_reads")
-        self.sim.schedule(extra_delay, self.net.send, msg)
+        self._call_after(self._data_extra_ps, self.net.send, msg)
 
     def _execute_gets(self, msg: Message, line: HomeLine, req_chip: int) -> None:
         addr = msg.addr

@@ -26,7 +26,7 @@ from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.stats import Stats
 from repro.common.types import NodeId, NodeKind
-from repro.directory.states import E, GRANT_E, GRANT_M, GRANT_S, L2Line, M, O, S
+from repro.directory.states import E, GRANT_E, GRANT_M, GRANT_S, GRANT_STATE, L2Line, M, O, S
 from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
 from repro.memory.cache import CacheArray
@@ -95,6 +95,10 @@ class IntraDirL2Controller:
         self._ext: Dict[int, ExtTx] = {}
         self._ext_deferred: Dict[int, list] = {}  # forwards parked on evictions
         self._evicting: Dict[int, ChipEvictBuf] = {}
+        # Hot-path bindings, resolved once instead of per message.
+        self._latency_ps = params.l2_latency_ps
+        self._call_after = sim.call_after
+        self._process_cb = self._process
         net.register(node, self.handle)
 
     # ------------------------------------------------------------------
@@ -113,7 +117,7 @@ class IntraDirL2Controller:
         self.net.send(Message(mtype=mtype, src=self.node, dst=dst, addr=addr, **kw))
 
     def handle(self, msg: Message) -> None:
-        self.sim.schedule(self.params.l2_latency_ps, self._process, msg)
+        self._call_after(self._latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
@@ -233,7 +237,7 @@ class IntraDirL2Controller:
             # L1 copies are still being written back).  A real controller
             # stalls the request; retry shortly.
             self.stats.bump("l2.alloc_stalls")
-            self.sim.schedule(self.params.l2_latency_ps * 2, self._on_local_request, msg)
+            self._call_after(self._latency_ps * 2, self._on_local_request, msg)
             return
         if line.busy:
             line.queue.append(msg)
@@ -384,7 +388,7 @@ class IntraDirL2Controller:
         line.dirty = pend.dirty
         line.l2_data = True
         old_gstate = line.gstate
-        line.gstate = {GRANT_M: M, GRANT_E: E, GRANT_S: S}[pend.granted]
+        line.gstate = GRANT_STATE[pend.granted]
         tracer = self.sim.tracer
         if tracer is not None and line.gstate != old_gstate:
             tracer.dir_transition(

@@ -13,9 +13,9 @@ from typing import Callable, Dict
 
 from repro.common.params import SystemParams
 from repro.common.stats import Stats
-from repro.common.types import NodeId
+from repro.common.types import NodeId, classify_source
 from repro.cpu.ops import Load, Rmw, Store, is_write
-from repro.directory.states import E, EvictBuf, GRANT_E, GRANT_M, GRANT_S, L1Entry, L1Tx, M, O, S
+from repro.directory.states import E, EvictBuf, GRANT_M, GRANT_S, GRANT_STATE, L1Entry, L1Tx, M, O
 from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
 from repro.memory.cache import CacheArray
@@ -45,11 +45,26 @@ class DirL1Controller:
         self._tx: Dict[int, L1Tx] = {}
         self._evicting: Dict[int, EvictBuf] = {}
         self._deferred: Dict[int, list] = {}  # msgs parked on the hold window
+        self._home: Dict[int, NodeId] = {}  # block -> home L2 bank on this chip
+        self._banks: Dict[NodeId, NodeId] = {}
+        # Hot-path bindings, resolved once instead of per message.
+        self._latency_ps = params.l1_latency_ps
+        self._call_after = sim.call_after
+        self._process_cb = self._process
+        self._attempt_cb = self._attempt
+        self._counters = stats.counters  # defaultdict: bare += per bump
+        self._miss_latency = stats.summaries["l1.miss_latency_ps"]
         net.register(node, self.handle)
 
     # ------------------------------------------------------------------
     def _home_l2(self, addr: int) -> NodeId:
-        return self.params.l2_bank(addr, self.node.chip)
+        bank = self._home.get(addr)
+        if bank is None:
+            bank = self.params.l2_bank(addr, self.node.chip)
+            # Interned: every block of a bank shares one NodeId, so the
+            # memo costs only its dict slots.
+            bank = self._home[addr] = self._banks.setdefault(bank, bank)
+        return bank
 
     def _send(self, mtype: MsgType, dst: NodeId, addr: int, **kw) -> None:
         self.net.send(Message(mtype=mtype, src=self.node, dst=dst, addr=addr, **kw))
@@ -59,16 +74,19 @@ class DirL1Controller:
     # ------------------------------------------------------------------
     def access(self, op, done: Callable[[int], None]) -> None:
         addr = self.params.block_of(op.addr)
-        self.sim.schedule(self.params.l1_latency_ps, self._attempt, op, addr, done)
+        # Recyclable single-arg event (call_after): the op/addr/done pack
+        # rides in one tuple instead of an Event handle with an args tuple.
+        self._call_after(self._latency_ps, self._attempt_cb, (op, addr, done))
 
-    def _attempt(self, op, addr: int, done: Callable[[int], None]) -> None:
+    def _attempt(self, pack) -> None:
+        op, addr, done = pack
         entry = self.array.lookup(addr)
         write = is_write(op)
         if entry is not None and (entry.state in (M, E) if write else True):
-            self.stats.bump("l1.hits")
+            self._counters["l1.hits"] += 1
             done(self._perform(op, entry))
             return
-        self.stats.bump("l1.misses")
+        self._counters["l1.misses"] += 1
         tx = L1Tx(op=op, addr=addr, done=done, start_ps=self.sim.now, is_write=write)
         self._tx[addr] = tx
         self._send(
@@ -105,7 +123,7 @@ class DirL1Controller:
     # Message handling.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        self.sim.schedule(self.params.l1_latency_ps, self._process, msg)
+        self._call_after(self._latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
@@ -124,8 +142,6 @@ class DirL1Controller:
     # Completing our own transaction.
     # ------------------------------------------------------------------
     def _on_data(self, msg: Message) -> None:
-        from repro.core.l1 import classify_source
-
         tx = self._tx.get(msg.addr)
         assert tx is not None, f"{self.node}: data grant with no transaction ({msg})"
         tx.data_source = classify_source(msg.src, self.node.chip)
@@ -148,7 +164,7 @@ class DirL1Controller:
         if tx.acks_received < (tx.acks_expected or 0):
             return
         del self._tx[addr]
-        state = {GRANT_M: M, GRANT_E: E, GRANT_S: S}[tx.granted]
+        state = GRANT_STATE[tx.granted]
         entry = self.array.lookup(addr)
         if entry is None:
             entry = L1Entry(state=state)
@@ -159,8 +175,8 @@ class DirL1Controller:
         entry.value = tx.data
         entry.dirty = tx.dirty
         result = self._perform(tx.op, entry)
-        self.stats.sample("l1.miss_latency_ps", self.sim.now - tx.start_ps)
-        self.stats.bump(f"miss.src.{tx.data_source or 'unknown'}")
+        self._miss_latency.add(self.sim.now - tx.start_ps)
+        self._counters[f"miss.src.{tx.data_source or 'unknown'}"] += 1
         self._send(MsgType.DIR_UNBLOCK, self._home_l2(addr), addr, requestor=self.node)
         tx.done(result)
 

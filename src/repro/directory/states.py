@@ -26,6 +26,9 @@ M, O, E, S = "M", "O", "E", "S"
 # Grant kinds carried in DIR_DATA.extra / DIR_UNBLOCK.extra.
 GRANT_M, GRANT_E, GRANT_S = "M", "E", "S"
 
+# State a cache (L1) or chip (L2 gstate) installs for each grant kind.
+GRANT_STATE = {GRANT_M: M, GRANT_E: E, GRANT_S: S}
+
 
 @dataclasses.dataclass
 class L1Entry:
