@@ -192,9 +192,6 @@ class FaultyNetwork:
     def token_absorbed(self, msg: Message) -> None:
         self._in_flight.pop(msg.uid, None)
 
-    def link_utilization(self) -> Dict[str, int]:
-        return self._inner.link_utilization()
-
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 

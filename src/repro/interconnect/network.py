@@ -19,14 +19,13 @@ is what the paper's traffic figures measure.
 Topologies
 ----------
 
-The link structure is no longer hard-coded: ``params.topology`` (a
+The link structure is not hard-coded: ``params.topology`` (a
 declarative :class:`~repro.interconnect.topology.Topology` spec) compiles
 to a link graph, and routes are deterministic shortest paths over it.
 The default ``ptp`` topology compiles to exactly the Table-3 machine
-above, and for it the :meth:`_path` branch ladder is retained as the
-executable reference the route tests replay; mesh/torus/fat-tree
-fabrics have no ladder — the graph is the only statement of their
-routing.
+above.  For every generator — ptp, mesh, torus, fat-tree — the graph is
+the only statement of the routing (the route tests replay the Table-3
+branch ladder against it as an oracle).
 
 Hot-path design
 ---------------
@@ -34,9 +33,9 @@ Hot-path design
 ``send`` sits under every coherence message, so its per-message work is
 precomputed at construction time:
 
-* a **route cache** — ``(src, dst) -> tuple[Link, ...]`` for every node
-  pair in the machine, built once from the compiled topology graph
-  (checked against the :meth:`_path` ladder on the default topology);
+* a **route table** — ``src -> dst -> tuple[Link, ...]`` for every
+  endpoint pair in the machine, built once from the compiled topology
+  graph; a pair outside it is a :class:`ConfigError`, never a re-route;
 * a **size table** — ``MsgType -> bytes``, so sizing a message is one
   dict hit instead of a method call and branch;
 * **integer link serialization** — each :class:`Link` folds its
@@ -48,11 +47,11 @@ precomputed at construction time:
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
-from repro.common.types import NodeId, NodeKind
+from repro.common.types import NodeId
 from repro.interconnect.message import Message, MessagePool, MsgType, _msg_ids
 from repro.interconnect.topology import LinkSpec, TopologyGraph
 from repro.interconnect.traffic import Scope, TrafficClass, TrafficMeter
@@ -161,24 +160,12 @@ class Network:
         self.graph: TopologyGraph = self.topology.build(params)
         self._links: Dict[str, Link] = {}
         self._build_links()
-        # Legacy per-network tables, aliasing the same Link objects.
-        # Populated only on the default topology, where the :meth:`_path`
-        # branch ladder is still a valid statement of the routing rules.
-        self._intra: Dict[NodeId, Link] = {}
-        self._inter: Dict[int, Link] = {}
-        self._mem_out: Dict[int, Link] = {}
-        self._mem_in: Dict[int, Link] = {}
-        if self.topology.is_default:
-            self._build_legacy_tables()
-        # (src, dst) -> tuple of egress links, for every node pair in the
-        # machine; lazily extended for pairs outside the enumeration
-        # (tests register ad-hoc endpoints).
-        self._routes: Dict[Tuple[NodeId, NodeId], Tuple[Link, ...]] = {}
-        # The same table nested src -> dst -> route, so the hot ``send``
+        # src -> dst -> tuple of egress links, for every endpoint pair in
+        # the graph: the one route table.  Nested so the hot ``send``
         # path needs no per-message (src, dst) key tuple.  Empty routes
         # (src == dst) are valid entries, hence the ``is None`` probes.
         self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = {}
-        self._route_row = self._routes_from.get  # prebound, table mutated in place
+        self._route_row = self._routes_from.get  # prebound, table filled in place
         self._build_routes()
         # MsgType -> wire size in bytes (Section 8 sizes from params).
         # ``send`` itself branches on the two ints below (an attribute
@@ -223,54 +210,23 @@ class Network:
         return BufferedLink(spec.name, spec.scope, spec.latency_ps,
                             spec.bytes_per_ns, spec.buffer_bytes)
 
-    def _build_legacy_tables(self) -> None:
-        """Index the default topology's links by network, as PR-4 did.
-
-        The tables alias ``self._links`` (one physical link, two views)
-        and exist so the :meth:`_path` ladder — the executable oracle the
-        route tests replay — keeps working verbatim.
-        """
-        p = self.params
-        for chip in range(p.num_chips):
-            nodes = p.chip_l1s(chip) + p.chip_l2_banks(chip) + [p.iface_of(chip)]
-            for node in nodes:
-                self._intra[node] = self._links[f"intra:{node}"]
-            self._inter[chip] = self._links[f"inter:{chip}"]
-            self._mem_out[chip] = self._links[f"mem-out:{chip}"]
-            self._mem_in[chip] = self._links[f"mem-in:{chip}"]
-
-    def _all_nodes(self) -> List[NodeId]:
-        """Every addressable endpoint in the machine, for route building."""
-        p = self.params
-        nodes: List[NodeId] = []
-        for chip in range(p.num_chips):
-            nodes.extend(p.chip_l1s(chip))
-            nodes.extend(p.chip_l2_banks(chip))
-            nodes.append(p.iface_of(chip))
-            nodes.append(NodeId(NodeKind.MEM, chip))
-            nodes.append(NodeId(NodeKind.ARB, chip))
-        return nodes
-
     def _build_routes(self) -> None:
-        """Precompute the route for every (src, dst) node pair.
+        """Resolve the graph's route table to :class:`Link` objects.
 
         Built once at machine construction from the compiled topology
         graph's deterministic shortest paths, so ``send`` never routes
-        per message.  On the default topology the :meth:`_path` branch
-        ladder remains the executable reference — the route cache tests
-        exhaustively compare every cached entry against it.
+        per message.  Equal routes share one tuple (every L1 and bank of
+        a remote chip is reached over the same links).
         """
         links = self._links
-        routes = self._routes
-        routes_from = self._routes_from
-        for pair, names in self.graph.all_routes().items():
-            route = tuple(links[name] for name in names)
-            routes[pair] = route
-            src, dst = pair
-            by_dst = routes_from.get(src)
-            if by_dst is None:
-                by_dst = routes_from[src] = {}
-            by_dst[dst] = route
+        resolved: Dict[Tuple[str, ...], Tuple[Link, ...]] = {}
+        for src, row in self.graph.routes().items():
+            by_dst = self._routes_from[src] = {}
+            for dst, names in row.items():
+                route = resolved.get(names)
+                if route is None:
+                    route = resolved[names] = tuple(links[n] for n in names)
+                by_dst[dst] = route
 
     # ------------------------------------------------------------------
     def register(self, node: NodeId, handler: Handler) -> None:
@@ -290,10 +246,10 @@ class Network:
         src = msg.src
         by_dst = self._route_row(src)
         route = None if by_dst is None else by_dst.get(dst)
-        if route is None:  # ad-hoc endpoint outside the machine enumeration
-            route = self._route_fallback(src, dst)
-            self._routes[(src, dst)] = route
-            self._routes_from.setdefault(src, {})[dst] = route
+        if route is None:  # an endpoint outside the topology graph
+            raise ConfigError(
+                f"topology {self.topology.generator!r} has no route {src} -> {dst}"
+            )
         sim = self.sim
         arrival = sim._now
         keys = self._meter_keys[mtype.klass]
@@ -371,7 +327,7 @@ class Network:
         entry = row.get(id(dests))
         if entry is None or entry[0] is not dests:
             entry = self._build_fanout_plan(src, dests)
-            if entry is None:  # ad-hoc endpoint / route fallback
+            if entry is None:  # per-destination send raises the error
                 for dst in dests:
                     send(clone(template, dst))
                 return
@@ -450,8 +406,9 @@ class Network:
         (kept so the identity-keyed cache holds its key alive), one
         ``(dst, endpoint, route)`` triple per destination, and the total
         link count per scope for aggregate metering.  ``None`` when any
-        destination lacks a prebuilt route or a registered endpoint (the
-        caller falls back to per-destination ``send``).
+        destination lacks a route or a registered endpoint (the caller
+        falls back to per-destination ``send``, which raises
+        :class:`ConfigError` naming the offending pair).
         """
         by_dst = self._route_row(src)
         if by_dst is None:
@@ -501,69 +458,6 @@ class Network:
         fault-injection wrappers use it to retire in-flight tracking)."""
 
     # ------------------------------------------------------------------
-    def _route_fallback(self, src: NodeId, dst: NodeId) -> Tuple[Link, ...]:
-        """Route a pair missing from the prebuilt table (ad-hoc endpoints
-        tests register).  The default topology replays the ladder —
-        exactly PR-4's lazy path; other topologies route on the graph."""
-        if self.topology.is_default:
-            return tuple(self._path(src, dst))
-        links = self._links
-        return tuple(links[name] for name in self.graph.route(src, dst))
-
-    def _path(self, src: NodeId, dst: NodeId) -> List[Link]:
-        """Egress links a message crosses from ``src`` to ``dst``.
-
-        The reference branch ladder for the *default* (``ptp``) topology.
-        ``send`` reads the precomputed ``_routes`` table instead; this
-        stays as the executable statement of the Table-3 routing rules
-        (and the oracle the route-cache tests replay against the graph).
-        """
-        if not self.topology.is_default:
-            raise ConfigError(
-                f"_path describes the default ptp fabric only; "
-                f"topology {self.topology.generator!r} routes on the graph"
-            )
-        if src == dst:
-            return []
-        p = self.params
-        src_mem = src.kind in (NodeKind.MEM, NodeKind.ARB)
-        dst_mem = dst.kind in (NodeKind.MEM, NodeKind.ARB)
-
-        if src_mem and dst_mem:
-            if src.chip == dst.chip:  # arbiter <-> memory controller, same site
-                return []
-            return [self._mem_in[src.chip], self._inter[src.chip], self._mem_out[dst.chip]]
-
-        if src_mem:
-            links = [self._mem_in[src.chip]]
-            if src.chip != dst.chip:
-                links.append(self._inter[src.chip])
-                # Same dst-IFACE exception as the cache-source branch
-                # below: the interface sits on the fabric, so delivery to
-                # it never re-crosses its own intra egress link.  (No
-                # traffic is affected — interfaces are routing points,
-                # never registered endpoints.)
-                if dst.kind is not NodeKind.IFACE:
-                    links.append(self._intra[p.iface_of(dst.chip)])
-            return links
-
-        if dst_mem:
-            links = [] if src.kind is NodeKind.IFACE else [self._intra[src]]
-            if src.chip != dst.chip:
-                links.append(self._inter[src.chip])
-            links.append(self._mem_out[dst.chip])
-            return links
-
-        # chip component to chip component
-        if src.chip == dst.chip:
-            return [self._intra[src]]
-        links = [] if src.kind is NodeKind.IFACE else [self._intra[src]]
-        links.append(self._inter[src.chip])
-        if dst.kind is not NodeKind.IFACE:
-            links.append(self._intra[p.iface_of(dst.chip)])
-        return links
-
-    # ------------------------------------------------------------------
     def links_by_name(self) -> Dict[str, Link]:
         """Read-only view of every physical link, keyed by name.
 
@@ -572,19 +466,6 @@ class Network:
         not mutate the returned links.
         """
         return dict(self._links)
-
-    def link_utilization(self) -> Dict[str, int]:
-        """Bytes carried per link (diagnostics)."""
-        out: Dict[str, int] = {}
-        if self.topology.is_default:
-            # Preserve the historical per-network iteration order.
-            for table in (self._intra, self._inter, self._mem_out, self._mem_in):
-                for link in table.values():
-                    out[link.name] = link.bytes_carried
-            return out
-        for name in sorted(self._links):
-            out[name] = self._links[name].bytes_carried
-        return out
 
     def buffer_report(self) -> Dict[str, Dict[str, int]]:
         """Overflow diagnostics for links declared with ``buffer_bytes``."""

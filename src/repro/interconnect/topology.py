@@ -14,9 +14,9 @@ links are common scaffolding):
 
 ``ptp``
     The paper's directly connected global network: every chip interface
-    has one egress link onto the fabric (star through a zero-cost hub —
-    exactly the shape the :meth:`Network._path` branch ladder encodes,
-    which stays as the executable oracle for this generator).
+    has one egress link onto the fabric (star through a zero-cost hub).
+    The graph is the only statement of its routing; the Table-3 branch
+    ladder survives only as the oracle in ``tests/test_routes.py``.
 ``mesh``
     2D mesh of chips (near-square by default, ``rows``/``cols`` kwargs
     override); each directed neighbor hop is its own link.
@@ -157,11 +157,11 @@ class GraphBuilder:
 def _build_chip(b: GraphBuilder, chip: int) -> None:
     """One CMP: crossbar star over L1s/L2 banks/interface + memory site.
 
-    Mirrors the Table-3 shapes the ladder encodes: every on-chip
-    component owns one intra egress link onto the chip crossbar
-    (``hub``), delivery from the crossbar is free, and the co-located
-    memory controller + persistent-request arbiter (``memsite``) hang
-    off dedicated ``mem-in``/``mem-out`` links.  The chip *interface*
+    The Table-3 on-chip shapes: every on-chip component owns one intra
+    egress link onto the chip crossbar (``hub``), delivery from the
+    crossbar is free, and the co-located memory controller +
+    persistent-request arbiter (``memsite``) hang off dedicated
+    ``mem-in``/``mem-out`` links.  The chip *interface*
     additionally gets a direct ``mem-out`` edge: it sits at the fabric
     boundary, one hop from the memory port.
     """
@@ -348,7 +348,6 @@ class TopologyGraph:
         self.links: Dict[str, LinkSpec] = builder.links
         self.adj: Dict[str, List[Tuple[str, Optional[str]]]] = builder.adj
         self.endpoints: Dict[NodeId, str] = builder.endpoints
-        self._sssp_cache: Dict[str, Dict[str, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     def _sssp(self, src_vertex: str) -> Dict[str, Tuple[str, ...]]:
@@ -359,9 +358,6 @@ class TopologyGraph:
         candidate routes, so the result is independent of dict/set hash
         order and of ``PYTHONHASHSEED``.
         """
-        cached = self._sssp_cache.get(src_vertex)
-        if cached is not None:
-            return cached
         out: Dict[str, Tuple[str, ...]] = {}
         heap: List[Tuple[int, int, Tuple[str, ...], str]] = [(0, 0, (), src_vertex)]
         links = self.links
@@ -380,44 +376,37 @@ class TopologyGraph:
                     spec = links[link_name]
                     heapq.heappush(heap, (nlinks + 1, latency + spec.latency_ps,
                                           names + (link_name,), nxt))
-        self._sssp_cache[src_vertex] = out
         return out
 
-    def route(self, src: NodeId, dst: NodeId) -> Tuple[str, ...]:
-        """Link names a message crosses from endpoint ``src`` to ``dst``."""
-        try:
-            src_v = self.endpoints[src]
-            dst_v = self.endpoints[dst]
-        except KeyError as err:
-            raise ConfigError(f"{err.args[0]} is not a topology endpoint") from None
-        paths = self._sssp(src_v)
-        if dst_v not in paths:
-            raise ConfigError(
-                f"topology {self.generator!r} has no route {src} -> {dst}"
-            )
-        return paths[dst_v]
+    def routes(self) -> Dict[NodeId, Dict[NodeId, Tuple[str, ...]]]:
+        """Link-name routes for every ordered endpoint pair, nested
+        ``src -> dst -> names`` (the Network's route table).
 
-    def all_routes(self) -> Dict[Tuple[NodeId, NodeId], Tuple[str, ...]]:
-        """Routes for every ordered endpoint pair (the Network's table)."""
-        routes = {}
-        for src in self.endpoints:
-            paths = self._sssp(self.endpoints[src])
-            for dst, dst_v in self.endpoints.items():
+        Computed afresh on every call and not retained: the Network keeps
+        the one resident copy, resolved to its :class:`Link` objects.
+        """
+        endpoints = self.endpoints
+        table: Dict[NodeId, Dict[NodeId, Tuple[str, ...]]] = {}
+        for src, src_v in endpoints.items():
+            paths = self._sssp(src_v)
+            row = table[src] = {}
+            for dst, dst_v in endpoints.items():
                 names = paths.get(dst_v)
                 if names is None:
                     raise ConfigError(
                         f"topology {self.generator!r} is not connected: "
                         f"no route {src} -> {dst}"
                     )
-                routes[(src, dst)] = names
-        return routes
+                row[dst] = names
+        return table
 
     # ------------------------------------------------------------------
     def validate(self) -> dict:
         """Check connectivity + link sanity; return summary statistics."""
         for spec in self.links.values():
             spec.validate()
-        hops = [len(names) for names in self.all_routes().values()]
+        hops = [len(names) for row in self.routes().values()
+                for names in row.values()]
         return {
             "endpoints": len(self.endpoints),
             "vertices": len(self.adj),
@@ -508,12 +497,6 @@ class Topology:
         return dataclasses.replace(
             self, overrides=self.overrides + ((pattern, _freeze(fields)),)
         )
-
-    @property
-    def is_default(self) -> bool:
-        """True when the :meth:`Network._path` ladder is a valid oracle
-        (the ptp generator builds exactly the ladder's link structure)."""
-        return self.generator == "ptp"
 
     # ------------------------------------------------------------------
     def build(self, params) -> TopologyGraph:

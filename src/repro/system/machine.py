@@ -3,18 +3,15 @@
 ``MachineSpec(...).build()`` (see :mod:`repro.system.spec`) builds every
 controller for the chosen protocol family on a fresh event kernel;
 :meth:`run` drives a workload to completion and returns a
-:class:`RunResult` with runtime and traffic.  The legacy
-``Machine(params, protocol, ...)`` constructor survives as a deprecation
-shim around the spec.
+:class:`RunResult` with runtime and traffic.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigError, DeadlockError, ProtocolError
+from repro.common.errors import DeadlockError, ProtocolError
 from repro.common.stats import Stats
 from repro.common.types import NodeId, NodeKind, to_ns
 from repro.cpu.sequencer import Sequencer
@@ -49,29 +46,11 @@ class RunResult:
 class Machine:
     """One simulated M-CMP system.
 
-    Construct via ``MachineSpec(...).build()``.  Passing ``(params,
-    protocol, seed=, faults=)`` positionally still works but is
-    deprecated — the shim wraps them in a spec (note the spec's ``crash``
-    stays ``None`` on this path; the legacy flow armed
-    :class:`~repro.faults.crash.CrashInjector` separately).
+    Construct via ``MachineSpec(...).build()``, which calls
+    ``Machine(spec)``; the machine keeps its spec on ``.spec``.
     """
 
-    def __init__(self, params, proto=None, seed: int = 0, faults=None):
-        if isinstance(params, MachineSpec):
-            if proto is not None or faults is not None or seed != 0:
-                raise ConfigError(
-                    "Machine(spec) takes no extra arguments; put protocol/"
-                    "seed/faults inside the MachineSpec"
-                )
-            spec = params
-        else:
-            warnings.warn(
-                "Machine(params, proto, seed=, faults=) is deprecated; "
-                "construct through repro.system.MachineSpec(...).build()",
-                DeprecationWarning, stacklevel=2,
-            )
-            spec = MachineSpec(params=params, protocol=proto, seed=seed,
-                               faults=faults)
+    def __init__(self, spec: MachineSpec):
         self.spec = spec
         params = spec.params
         faults = spec.faults

@@ -1,15 +1,9 @@
 """MachineSpec: the single frozen recipe for constructing a Machine.
 
-Historically a machine was assembled in two steps scattered across the
-callers: ``Machine(params, proto, seed=..., faults=...)`` plus a separate
-:class:`~repro.faults.crash.CrashInjector` arm when crashes were wanted.
 :class:`MachineSpec` folds everything construction depends on — system
 parameters (which carry the interconnect :class:`Topology`), protocol,
 seed, fault config and crash spec — into one frozen, hashable value with
-one entry point, :meth:`MachineSpec.build`.
-
-``Machine(params, proto, ...)`` survives as a thin deprecation shim that
-wraps its arguments in a spec; new code should construct the spec:
+one entry point, :meth:`MachineSpec.build`:
 
 .. code-block:: python
 

@@ -99,9 +99,10 @@ def test_link_bytes_series_is_monotone_and_matches_totals():
         series = doc["series"][f"link:{name}:bytes"]
         assert all(b >= a for a, b in zip(series, series[1:])), name
     # The final sample equals the run's per-link byte totals.
-    util = res.raw.machine.net.link_utilization()
-    for name, total in util.items():
-        assert doc["series"][f"link:{name}:bytes"][-1] == total
+    links = res.raw.machine.net.links_by_name()
+    assert sorted(doc["links"]) == sorted(links)
+    for name, link in links.items():
+        assert doc["series"][f"link:{name}:bytes"][-1] == link.bytes_carried
 
 
 def test_ring_capacity_drops_oldest_rows():

@@ -2,8 +2,7 @@
 
 Covers the generator catalog (ptp/mesh/torus/fattree), per-link
 overrides and buffer diagnostics, the frozen :class:`MachineSpec`
-construction entry point (plus the legacy ``Machine(params, proto)``
-deprecation shim), end-to-end runs on non-default fabrics with token
+construction entry point, end-to-end runs on non-default fabrics with token
 invariants checked, exp-engine determinism across worker counts, and the
 ``python -m repro topo`` subcommand's exit codes and canonical JSON.
 """
@@ -23,7 +22,6 @@ from repro.interconnect.topology import (
 )
 from repro.interconnect.traffic import TrafficMeter
 from repro.sim.kernel import Simulator
-from repro.system.machine import Machine
 from repro.system.spec import MachineSpec
 
 
@@ -40,8 +38,20 @@ def mesh_params(chips=8, procs=2, **kwargs):
 def test_default_topology_is_the_paper_fabric():
     params = SystemParams()
     assert params.topology == Topology()
-    assert params.topology.is_default
-    assert not Topology.mesh().is_default
+
+
+def test_ptp_graph_shape_is_pinned():
+    # The compiled graph is the only statement of the Table-3 routing:
+    # pin its shape on the paper's 4x4 machine exactly.
+    params = SystemParams()
+    stats = params.topology.build(params).describe()["stats"]
+    assert stats == {
+        "endpoints": 60,
+        "vertices": 69,
+        "links": 64,
+        "diameter_hops": 3,
+        "mean_hops": 2.4077777777777776,
+    }
 
 
 def test_unknown_generator_rejected():
@@ -163,34 +173,14 @@ def test_buffered_link_tracks_peak_backlog():
 
 
 # ---------------------------------------------------------------------------
-# MachineSpec and the deprecation shim.
+# MachineSpec.
 # ---------------------------------------------------------------------------
-
-
-def test_machine_spec_build_equals_legacy_shim():
-    spec = MachineSpec(params=SystemParams(num_chips=2, procs_per_chip=2),
-                       protocol="TokenCMP-dst1", seed=7)
-    via_spec = spec.build()
-    with pytest.deprecated_call():
-        via_shim = Machine(spec.params, "TokenCMP-dst1", seed=7)
-    assert via_shim.spec == spec
-    assert via_spec.cfg.name == via_shim.cfg.name == "TokenCMP-dst1"
-    assert via_spec.seed == via_shim.seed == 7
-    assert len(via_spec.sequencers) == len(via_shim.sequencers)
 
 
 def test_machine_spec_resolves_protocol_names():
     spec = MachineSpec(protocol="DirectoryCMP")
     assert spec.protocol_name == "DirectoryCMP"
     assert spec.topology is spec.params.topology
-
-
-def test_machine_rejects_spec_plus_legacy_arguments():
-    spec = MachineSpec(protocol="TokenCMP-dst1")
-    with pytest.raises(ConfigError):
-        Machine(spec, "DirectoryCMP")
-    with pytest.raises(ConfigError):
-        Machine(spec, seed=3)
 
 
 def test_cell_machine_property_carries_everything():
