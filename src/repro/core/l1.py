@@ -64,10 +64,12 @@ class TokenL1Controller(TokenCacheController):
         self.rng = substream(seed, "l1", self.node)
         self.destset = None  # per-chip predictor, wired by the builder
         self._tx: Dict[int, Transaction] = {}
-        # Interned destination sets, keyed by block address: broadcast
-        # fan-out reuses one frozen tuple per (block, scope) instead of
-        # rebuilding the list on every miss.  Workload footprints are
-        # bounded, so the caches are too.
+        # Destination sets, keyed by block address: broadcast fan-out
+        # reuses one tuple per (block, scope) instead of rebuilding the
+        # list on every miss.  Each tuple is interned by content through
+        # the network (``Network.intern_dests``), so blocks with equal
+        # sets share one tuple and one fan-out plan.  Workload footprints
+        # are bounded, so the caches are too.
         self._dests_local: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_global: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_flat: Dict[int, Tuple[NodeId, ...]] = {}
@@ -159,7 +161,7 @@ class TokenL1Controller(TokenCacheController):
                 return cached
             dests = [n for n in self.params.token_holders(addr) if n != self.node]
             dests.append(self.params.home_mem(addr))
-            self._dests_flat[addr] = cached = tuple(dests)
+            self._dests_flat[addr] = cached = self.net.intern_dests(tuple(dests))
             return cached
         cache = self._dests_global if global_ else self._dests_local
         cached = cache.get(addr)
@@ -172,7 +174,7 @@ class TokenL1Controller(TokenCacheController):
                 if chip != self.chip:
                     dests.append(self.params.l2_bank(addr, chip))
             dests.append(self.params.home_mem(addr))
-        cache[addr] = cached = tuple(dests)
+        cache[addr] = cached = self.net.intern_dests(tuple(dests))
         return cached
 
     def _send_transient(self, tx: Transaction, global_: bool) -> None:
@@ -308,7 +310,7 @@ class TokenL1Controller(TokenCacheController):
             return cached
         dests = [n for n in self.params.token_holders(addr) if n != self.node]
         dests.append(self.params.home_mem(addr))
-        self._pers_dests[addr] = cached = tuple(dests)
+        self._pers_dests[addr] = cached = self.net.intern_dests(tuple(dests))
         return cached
 
     def _deactivate(self, tx: Transaction) -> None:

@@ -34,8 +34,10 @@ class TokenL2Controller(TokenCacheController):
         # when the variant uses multicast): the chip's L1s train it with
         # the responses they receive; the gateway consults it.
         self.destset = None
-        # Interned fan-out sets: the chip's L1 population is fixed, and
-        # the all-chips escalation set varies only with the block's home.
+        # Fan-out sets: the chip's L1 population is fixed, and the
+        # all-chips escalation set varies only with the block's home, so
+        # it is interned by content (``Network.intern_dests``) and equal
+        # sets of different blocks share one tuple and one fan-out plan.
         self._local_l1s: Tuple[NodeId, ...] = tuple(self.params.chip_l1s(self.chip))
         self._esc_dests: Dict[int, Tuple[NodeId, ...]] = {}
 
@@ -96,7 +98,7 @@ class TokenL2Controller(TokenCacheController):
                     if chip != self.chip
                 ]
                 dests.append(self.params.home_mem(addr))
-                self._esc_dests[addr] = dests = tuple(dests)
+                self._esc_dests[addr] = dests = self.net.intern_dests(tuple(dests))
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.tx_escalate(

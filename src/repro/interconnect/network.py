@@ -161,12 +161,15 @@ class Network:
         self._links: Dict[str, Link] = {}
         self._build_links()
         # src -> dst -> tuple of egress links, for every endpoint pair in
-        # the graph: the one route table.  Nested so the hot ``send``
-        # path needs no per-message (src, dst) key tuple.  Empty routes
-        # (src == dst) are valid entries, hence the ``is None`` probes.
-        self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = {}
-        self._route_row = self._routes_from.get  # prebound, table filled in place
-        self._build_routes()
+        # the graph: the one route table, resolved by the graph itself
+        # (see ``TopologyGraph.routes``), so ``send`` never routes per
+        # message.  Nested so the hot ``send`` path needs no per-message
+        # (src, dst) key tuple.  Empty routes (src == dst) are valid
+        # entries, hence the ``is None`` probes.
+        self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = (
+            self.graph.routes(self._links)
+        )
+        self._route_row = self._routes_from.get  # prebound
         # MsgType -> wire size in bytes (Section 8 sizes from params).
         # ``send`` itself branches on the two ints below (an attribute
         # load beats hashing an enum member), but the full table stays
@@ -190,13 +193,16 @@ class Network:
         # send and release at final delivery (see MessagePool).
         self.pool = MessagePool()
         # Fan-out plans, keyed by destination-tuple identity: broadcasts
-        # use interned destination tuples, so the (endpoint, route) pairs
-        # and the per-scope link counts of a fan-out are resolved once
-        # per (src, dests) instead of per message.  Each entry keeps a
-        # strong reference to its dests tuple, so the id key cannot be
-        # reused while the entry lives; the identity re-check catches a
-        # same-src fan-out to a different (non-interned) tuple.
+        # pass tuples interned through ``intern_dests``, so the
+        # (endpoint, route) pairs and the per-scope link counts of a
+        # fan-out are resolved once per (src, dest set) instead of per
+        # message.  Each entry keeps a strong reference to its dests
+        # tuple, so the id key cannot be reused while the entry lives;
+        # the identity re-check catches a same-src fan-out to a different
+        # (non-interned) tuple.
         self._fanout_plans: Dict[NodeId, Dict[int, tuple]] = {}
+        # Destination set -> the one equal tuple every caller shares.
+        self._dest_sets: Dict[Tuple[NodeId, ...], Tuple[NodeId, ...]] = {}
 
     def _build_links(self) -> None:
         """Instantiate one :class:`Link` per compiled :class:`LinkSpec`."""
@@ -210,23 +216,14 @@ class Network:
         return BufferedLink(spec.name, spec.scope, spec.latency_ps,
                             spec.bytes_per_ns, spec.buffer_bytes)
 
-    def _build_routes(self) -> None:
-        """Resolve the graph's route table to :class:`Link` objects.
+    def intern_dests(self, dests: Tuple[NodeId, ...]) -> Tuple[NodeId, ...]:
+        """The machine's one tuple equal to ``dests``.
 
-        Built once at machine construction from the compiled topology
-        graph's deterministic shortest paths, so ``send`` never routes
-        per message.  Equal routes share one tuple (every L1 and bank of
-        a remote chip is reached over the same links).
+        Broadcasting controllers intern their destination sets here, so
+        equal sets built for different blocks (or by different
+        controllers) are one object and share one ``send_fanout`` plan.
         """
-        links = self._links
-        resolved: Dict[Tuple[str, ...], Tuple[Link, ...]] = {}
-        for src, row in self.graph.routes().items():
-            by_dst = self._routes_from[src] = {}
-            for dst, names in row.items():
-                route = resolved.get(names)
-                if route is None:
-                    route = resolved[names] = tuple(links[n] for n in names)
-                by_dst[dst] = route
+        return self._dest_sets.setdefault(dests, dests)
 
     # ------------------------------------------------------------------
     def register(self, node: NodeId, handler: Handler) -> None:
@@ -315,11 +312,12 @@ class Network:
         # resolved once for the whole fan-out instead of per destination,
         # and the (endpoint, route) pairs plus per-scope link counts come
         # from a plan cached by destination-tuple identity (broadcast
-        # dest tuples are interned per controller).  Clone order, link
-        # busy_until order and event (time, seq) order are identical to
-        # the per-destination ``send`` loop; metering is applied as one
-        # aggregate bump per scope — same final counters, addition is
-        # commutative and the meter is only read between events.
+        # dest tuples are interned per machine, see ``intern_dests``).
+        # Clone order, link busy_until order and event (time, seq) order
+        # are identical to the per-destination ``send`` loop; metering
+        # is applied as one aggregate bump per scope — same final
+        # counters, addition is commutative and the meter is only read
+        # between events.
         src = template.src
         row = self._fanout_plans.get(src)
         if row is None:

@@ -38,6 +38,20 @@ and the shortest-path search orders its frontier by the fully comparable
 tuple ``(link count, total latency, link-name path, vertex)``, so ties
 are broken lexicographically, never by hash order.
 
+The search runs once per *routing site*, not once per endpoint
+(:meth:`TopologyGraph.routes`).  An endpoint ``v`` with a single
+out-edge ``v -> b`` (every L1 and L2 bank has one ``intra:`` egress to
+its chip's hub; MEM and ARB have one free edge to their memory site)
+routes from ``b``: its route to any other endpoint is that edge's link,
+if any, followed by ``b``'s route.  This is exact, not an
+approximation.  Every candidate path from ``v`` starts with the edge,
+so each one's frontier key is ``b``'s key shifted by a constant (one
+more link, the link's latency, the common name prefix), and ties break
+in the same order as from ``b``; no shortest path from ``b`` passes
+through ``v``, whose only way out leads back to ``b``.  An endpoint
+with several out-edges (the chip interface) is its own site, so a
+machine needs three searches per chip: hub, memory site, interface.
+
 Buffering overrides are *diagnostic*: links model unbounded
 store-and-forward queues, and a ``buffer_bytes`` capacity marks where
 backlog beyond the configured buffer would have overflowed (reported by
@@ -378,27 +392,79 @@ class TopologyGraph:
                                           names + (link_name,), nxt))
         return out
 
-    def routes(self) -> Dict[NodeId, Dict[NodeId, Tuple[str, ...]]]:
-        """Link-name routes for every ordered endpoint pair, nested
-        ``src -> dst -> names`` (the Network's route table).
+    def routes(self, links: Optional[Dict[str, object]] = None
+               ) -> Dict[NodeId, Dict[NodeId, tuple]]:
+        """Routes for every ordered endpoint pair, nested ``src -> dst ->
+        route`` (the Network's route table).
 
+        A route is its tuple of link names, or of ``links[name]`` when a
+        ``links`` mapping is given (the Network passes its :class:`Link`
+        objects).  Endpoints reached over one path share its tuple.
         Computed afresh on every call and not retained: the Network keeps
-        the one resident copy, resolved to its :class:`Link` objects.
+        the one resident copy.
+
+        One shortest-path search runs per *routing site*, not per
+        endpoint: an endpoint with a single out-edge routes from that
+        edge's head, and its route to every other endpoint is the edge's
+        link (if any) followed by the site's route (exact; see the module
+        docstring).  Each site route is resolved once, and each (head
+        link, site route) join once per endpoint.
         """
         endpoints = self.endpoints
-        table: Dict[NodeId, Dict[NodeId, Tuple[str, ...]]] = {}
+        adj = self.adj
+        dsts = tuple(endpoints)
+        # site vertex -> (distinct routes, each endpoint's index into
+        # them, whether the site misses an endpoint): the only search
+        # state kept during the build.
+        sites: Dict[str, Tuple[List[Optional[tuple]], List[int], bool]] = {}
+        table: Dict[NodeId, Dict[NodeId, tuple]] = {}
         for src, src_v in endpoints.items():
-            paths = self._sssp(src_v)
-            row = table[src] = {}
-            for dst, dst_v in endpoints.items():
-                names = paths.get(dst_v)
-                if names is None:
-                    raise ConfigError(
-                        f"topology {self.generator!r} is not connected: "
-                        f"no route {src} -> {dst}"
-                    )
-                row[dst] = names
+            edges = adj[src_v]
+            if len(edges) == 1 and edges[0][0] != src_v:
+                site, head = edges[0]
+            else:
+                site, head = src_v, None
+            entry = sites.get(site)
+            if entry is None:
+                entry = sites[site] = self._site_routes(site, links)
+            routes, index, misses = entry
+            if head is not None:
+                head_link = head if links is None else links[head]
+                routes = [None if route is None else (head_link,) + route
+                          for route in routes]
+            row = table[src] = dict(zip(dsts, map(routes.__getitem__, index)))
+            row[src] = ()
+            if misses:
+                for dst in dsts:
+                    if row[dst] is None:
+                        raise ConfigError(
+                            f"topology {self.generator!r} is not connected: "
+                            f"no route {src} -> {dst}"
+                        )
         return table
+
+    def _site_routes(self, site: str, links: Optional[Dict[str, object]]
+                     ) -> Tuple[List[Optional[tuple]], List[int], bool]:
+        """One search from ``site``: its distinct routes (resolved through
+        ``links`` when given), each endpoint's index into them, and
+        whether any endpoint is unreachable (index 0, the ``None`` slot).
+        """
+        paths = self._sssp(site)
+        routes: List[Optional[tuple]] = [None]
+        slots: Dict[int, int] = {}  # id(names) -> slot; ``paths`` pins the names
+        index: List[int] = []
+        for dst_v in self.endpoints.values():
+            names = paths.get(dst_v)
+            if names is None:
+                index.append(0)
+                continue
+            slot = slots.get(id(names))
+            if slot is None:
+                slot = slots[id(names)] = len(routes)
+                routes.append(names if links is None
+                              else tuple(links[n] for n in names))
+            index.append(slot)
+        return routes, index, 0 in index
 
     # ------------------------------------------------------------------
     def validate(self) -> dict:

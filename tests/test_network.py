@@ -191,3 +191,39 @@ def test_traverse_matches_serialization_ps():
     # Back-to-back messages queue by exactly the serialization delay.
     second = link.traverse(0, 72)
     assert second == 2 * link.serialization_ps(72) + ns(2)
+
+
+def test_intern_dests_returns_one_tuple_per_content():
+    _sim, _meter, net, p = build()
+    first = net.intern_dests((p.l1d_of(0), p.l1d_of(1)))
+    again = net.intern_dests(tuple([p.l1d_of(0), p.l1d_of(1)]))
+    assert again is first
+    assert net.intern_dests((p.l1d_of(1), p.l1d_of(0))) is not first
+
+
+def test_fanout_plans_are_built_once_per_destination_set(monkeypatch):
+    # ``send_fanout`` caches plans by destination-tuple identity, so the
+    # broadcasting controllers must hand it interned tuples: without
+    # interning, equal sets built for different blocks each miss the
+    # cache (3,229 plan builds on this cell instead of 236).
+    from repro.exp.library import fig6_smoke_cell
+    from repro.exp.runner import run_cell
+
+    counts = {"plans": 0, "fanouts": 0}
+    build_plan = Network._build_fanout_plan
+    send_fanout = Network.send_fanout
+
+    def counted_plan(self, src, dests):
+        counts["plans"] += 1
+        return build_plan(self, src, dests)
+
+    def counted_fanout(self, template, dests):
+        counts["fanouts"] += 1
+        return send_fanout(self, template, dests)
+
+    monkeypatch.setattr(Network, "_build_fanout_plan", counted_plan)
+    monkeypatch.setattr(Network, "send_fanout", counted_fanout)
+    result = run_cell(fig6_smoke_cell())
+    assert result.raw.machine.sim.events_fired == 163255
+    assert counts["fanouts"] == 10107
+    assert counts["plans"] <= 300

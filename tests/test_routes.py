@@ -1,7 +1,7 @@
 """Route tests: the graph-built route table vs the Table-3 branch ladder.
 
-``Network._build_routes`` resolves the compiled topology graph's routes
-into ``_routes_from`` (``src -> dst -> tuple[Link, ...]``) for every
+``Network`` takes the compiled topology graph's routes over its links
+as ``_routes_from`` (``src -> dst -> tuple[Link, ...]``) for every
 endpoint pair at construction, so ``send`` never routes per message.
 The graph is the only routing mechanism in the program; the paper's
 Table-3 routing rules survive here as :func:`_path`, a branch ladder
@@ -10,8 +10,14 @@ on 1-, 2-, 4- and 8-chip ``ptp`` machines — including the IFACE/MEM/ARB
 corner cases the ladder special-cases.  They also pin that routing is
 independent of ``PYTHONHASHSEED`` for every generator and that a pair
 outside the table is a :class:`ConfigError`.
+
+``TopologyGraph.routes()`` runs one shortest-path search per routing
+site, not per endpoint; the per-endpoint search survives here as
+:func:`_per_endpoint_routes`, the reference the table must equal on
+every generator, and the work and sharing of the build are pinned.
 """
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -22,6 +28,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId, NodeKind
+from repro.exp.library import mesh_params
 from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
 from repro.interconnect.topology import Topology, TopologyGraph
@@ -273,3 +280,125 @@ def test_routes_are_stable_across_hash_seeds(gen):
         )
         digests.add(out.stdout.strip())
     assert len(digests) == 1, digests
+
+
+# ---------------------------------------------------------------------------
+# One search per routing site vs the per-endpoint reference.
+# ---------------------------------------------------------------------------
+
+
+def _per_endpoint_routes(graph):
+    """One shortest-path search per endpoint: the reference table."""
+    endpoints = graph.endpoints
+    return {src: {dst: paths[dst_v] for dst, dst_v in endpoints.items()}
+            for src, paths in ((src, graph._sssp(src_v))
+                               for src, src_v in endpoints.items())}
+
+
+def _sixteen_chip(topology):
+    return dataclasses.replace(mesh_params(16, 2), topology=topology)
+
+
+ORACLE_CONFIGS = {
+    "ptp-1": lambda: SystemParams(**CONFIGS["1-chip"]),
+    "ptp-2": lambda: SystemParams(**CONFIGS["2-chip"]),
+    "ptp-4x4": lambda: SystemParams(**CONFIGS["4x4"]),
+    "ptp-8": lambda: SystemParams(**CONFIGS["8-chip"]),
+    "mesh-8x2": lambda: mesh_params(8, 2),
+    "mesh-16x2": lambda: mesh_params(16, 2),
+    "torus-16x2": lambda: _sixteen_chip(Topology.torus()),
+    "fattree-16x2": lambda: _sixteen_chip(Topology.fattree()),
+    "mesh-8x2-fast-inter": lambda: dataclasses.replace(
+        mesh_params(8, 2),
+        topology=Topology.mesh().with_override("inter:*", latency_ns=5.0)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+def test_site_routes_equal_per_endpoint_search(config):
+    params = ORACLE_CONFIGS[config]()
+    graph = params.topology.build(params)
+    assert graph.routes() == _per_endpoint_routes(graph)
+
+
+@pytest.mark.parametrize("config", ["mesh-16x2", "ptp-4x4"])
+def test_network_routes_are_the_named_links(config):
+    net = Network(Simulator(), ORACLE_CONFIGS[config](), TrafficMeter())
+    links = net.links_by_name()
+    names = net.graph.routes()
+    assert set(net._routes_from) == set(names)
+    for src, row in net._routes_from.items():
+        assert set(row) == set(names[src])
+        for dst, route in row.items():
+            assert route == tuple(links[n] for n in names[src][dst]), (src, dst)
+
+
+def test_disconnected_graph_names_the_first_missing_pair():
+    # Chip 1's interface loses its fabric egress: chip 1 can no longer
+    # reach chip 0, and the error names the first pair the per-endpoint
+    # search misses.
+    params = SystemParams(**CONFIGS["2-chip"])
+    graph = params.topology.build(params)
+    iface = str(params.iface_of(1))
+    graph.adj[iface] = [(v, link) for v, link in graph.adj[iface]
+                        if link != "inter:1"]
+    src, dst = next(
+        (src, dst)
+        for src, src_v in graph.endpoints.items()
+        for dst, dst_v in graph.endpoints.items()
+        if dst_v not in graph._sssp(src_v)
+    )
+    assert src.chip == 1 and dst.chip == 0
+    with pytest.raises(ConfigError, match=re.escape(f"no route {src} -> {dst}")):
+        graph.routes()
+
+
+def _count_sssp(monkeypatch):
+    calls = []
+    search = TopologyGraph._sssp
+
+    def counted(self, src_vertex):
+        calls.append(src_vertex)
+        return search(self, src_vertex)
+
+    monkeypatch.setattr(TopologyGraph, "_sssp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config,searches", [
+    ("ptp-4x4", 12), ("mesh-16x2", 48), ("torus-16x2", 48),
+    ("fattree-16x2", 48),
+])
+def test_one_search_per_routing_site(monkeypatch, config, searches):
+    # Three routing sites per chip: the crossbar hub (every L1 and L2
+    # bank has one egress link onto it), the memory site (MEM and ARB
+    # hang off it for free) and the chip interface (several out-edges).
+    params = ORACLE_CONFIGS[config]()
+    graph = params.topology.build(params)
+    calls = _count_sssp(monkeypatch)
+    graph.routes()
+    assert len(calls) == searches == 3 * params.num_chips
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("config,distinct", [
+    ("ptp-4x4", 501), ("mesh-16x2", 7505),
+])
+def test_equal_routes_share_one_link_tuple(config, distinct):
+    net = Network(Simulator(), ORACLE_CONFIGS[config](), TrafficMeter())
+    routes = [route for row in net._routes_from.values()
+              for route in row.values()]
+    assert len({id(route) for route in routes}) == distinct
+    assert len(set(routes)) == distinct
+
+
+def test_mesh_16x2_graph_shape_is_pinned():
+    params = mesh_params(16, 2)
+    stats = params.topology.build(params).describe()["stats"]
+    assert stats == {
+        "endpoints": 176,
+        "vertices": 224,
+        "links": 224,
+        "diameter_hops": 8,
+        "mean_hops": 4.268595041322314,
+    }
