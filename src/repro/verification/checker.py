@@ -218,22 +218,24 @@ def _trace(states, parent, label, sid) -> str:
 
 
 def spec_size(obj) -> int:
-    """Non-comment, non-blank source lines of a model — the analogue of
-    the paper's TLA+ line-count complexity metric."""
+    """Non-blank source lines of a model that are neither comments nor
+    docstrings — the analogue of the paper's TLA+ line-count complexity
+    metric."""
+    import ast
     import inspect
+    import textwrap
 
-    source = inspect.getsource(obj)
+    source = textwrap.dedent(inspect.getsource(obj))
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
     count = 0
-    in_doc = False
-    for line in source.splitlines():
+    for number, line in enumerate(source.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith('"""') or stripped.startswith("'''"):
-            if not (in_doc is False and stripped.endswith(('"""', "'''")) and len(stripped) > 3):
-                in_doc = not in_doc
-            continue
-        if in_doc:
-            continue
-        count += 1
+        if stripped and not stripped.startswith("#") and number not in docs:
+            count += 1
     return count

@@ -58,6 +58,73 @@ def _take(cache, tokens, with_owner):
     return (rest, cown and not with_owner, cval, cdata), value
 
 
+# ---------------------------------------------------------------------------
+# Move memos: a move group's moves, by the state slots the group reads.
+# ---------------------------------------------------------------------------
+def _memoized(moves):
+    """Decorate a model method ``moves(self, key)`` that lists one move
+    group's moves from the state slots the group reads (``key``): each
+    result is computed once per model and key.
+
+    The memo lives on the model but is created on first use, not in
+    ``__init__``, so constructing a model costs what it did before.  Keys
+    compare by equality: like :class:`_ReprMemo`, this relies on each
+    slot value being built by one code path, so that equal values print
+    the same (the transition-stream pin tests check it).
+    """
+    name = moves.__name__
+
+    @functools.wraps(moves)
+    def memoized(self, key):
+        try:
+            return self._memo[name][key]
+        except AttributeError:
+            self._memo = {}
+        except KeyError:
+            pass
+        result = self._memo.setdefault(name, {})[key] = moves(self, key)
+        return result
+
+    return memoized
+
+
+def _splice(state: Tuple, lo: int, hi: int, moves) -> List:
+    """Successors of ``state``: each move's slots replace ``state[lo:hi]``."""
+    head, tail = state[:lo], state[hi:]
+    return [(label, head + slots + tail) for label, slots in moves]
+
+
+def _splice_completions(state: Tuple, moves, can_complete, on_complete) -> List:
+    """Completion successors from the moves on ``(caches, wants)``, gated
+    per processor by ``can_complete`` and passed through ``on_complete``."""
+    mid, tail = state[1:3], state[4:]
+    out = []
+    for label, i, caches, wants in moves:
+        if can_complete(state, i):
+            nxt = (caches,) + mid + (wants,) + tail
+            out.append((label, nxt if on_complete is None else on_complete(nxt, i)))
+    return out
+
+
+def _splice_persist(state: Tuple, moves) -> List:
+    """Successors of the dst model's persistent-request issue moves; in
+    per-site message mode their activates join ``net`` here."""
+    caches, mem, net, wants, _tables, _pr = state
+    out = []
+    for label, acts, tables, pr in moves:
+        nnet = net
+        for msg in acts:
+            nnet = _add(nnet, msg)
+        out.append((label, (caches, mem, nnet, wants, tables, pr)))
+    return out
+
+
+def _restore_wants(state: Tuple, moves) -> List:
+    """Successors from moves whose states carry ``None`` for ``wants``."""
+    w = (state[3],)
+    return [(label, nxt[:3] + w + nxt[4:]) for label, nxt in moves]
+
+
 class _TokenBase(Model):
     """Shared mechanics: token transfers, memory, invariants."""
 
@@ -85,19 +152,29 @@ class _TokenBase(Model):
         return caches, mem, net, wants
 
     # -- shared transitions ----------------------------------------------
+    # Each move group reads only a few state slots, so its moves are
+    # computed once per distinct value of those slots (@_memoized) and
+    # spliced into every state that shares it.  The hooks keep ``make``
+    # for overrides that add moves of their own.
     def _want_transitions(self, state, make):
-        caches, mem, net, wants = state[:4]
+        return _splice(state, 3, 4, self._want_moves(state[3]))
+
+    @_memoized
+    def _want_moves(self, wants):
         out = []
         for i in range(self.n):
             if wants[i] is None:
                 for op in ("r", "w"):
-                    nw = wants[:i] + (op,) + wants[i + 1:]
-                    out.append((f"want_{op}{i}", make(state, wants=nw)))
+                    out.append((f"want_{op}{i}", (_set_entry(wants, i, op),)))
         return out
 
     def _transfer_transitions(self, state, make):
         """Nondeterministic performance policy: any legal token movement."""
-        caches, mem, net, wants = state[:4]
+        return _splice(state, 0, 3, self._transfer_moves(state[:3]))
+
+    @_memoized
+    def _transfer_moves(self, core):
+        caches, mem, net = core
         out = []
         if len(net) >= self.net_cap:
             pass
@@ -117,10 +194,7 @@ class _TokenBase(Model):
                                 continue
                             msg = ("tok", dst, give, with_owner, msg_val)
                             nc = caches[:i] + (ncache,) + caches[i + 1:]
-                            out.append((
-                                f"send{i}->{dst}",
-                                make(state, caches=nc, net=_add(net, msg)),
-                            ))
+                            out.append((f"send{i}->{dst}", (nc, mem, _add(net, msg))))
             # Memory responds (nondeterministically) with one or all tokens.
             mtok, mown, mval = mem
             if mtok > 0:
@@ -130,10 +204,7 @@ class _TokenBase(Model):
                         msg = ("tok", dst, give, with_owner,
                                mval if (mown or with_owner) else None)
                         nmem = (mtok - give, mown and not with_owner, mval)
-                        out.append((
-                            f"mem->{dst}",
-                            make(state, mem=nmem, net=_add(net, msg)),
-                        ))
+                        out.append((f"mem->{dst}", (caches, nmem, _add(net, msg))))
         # Deliveries.
         # dict.fromkeys: dedup like set() but in net's sorted-by-repr order,
         # so transition enumeration is reproducible across processes.
@@ -145,11 +216,11 @@ class _TokenBase(Model):
             if dst == MEM:
                 mtok, mown, mval = mem
                 nmem = (mtok + tokens, mown or owner, value if owner else mval)
-                out.append(("deliver_mem", make(state, mem=nmem, net=nnet)))
+                out.append(("deliver_mem", (caches, nmem, nnet)))
             else:
                 nc = list(caches)
                 nc[dst] = _absorb(caches[dst], tokens, owner, value)
-                out.append((f"deliver{dst}", make(state, caches=tuple(nc), net=nnet)))
+                out.append((f"deliver{dst}", (tuple(nc), mem, nnet)))
         return out
 
     def _can_complete(self, state, i) -> bool:
@@ -157,26 +228,22 @@ class _TokenBase(Model):
         return True
 
     def _complete_transitions(self, state, make, on_complete=None):
-        caches, mem, net, wants = state[:4]
+        moves = self._complete_moves((state[0], state[3]))
+        return _splice_completions(state, moves, self._can_complete, on_complete)
+
+    @_memoized
+    def _complete_moves(self, key):
+        """Per proc that can retire: (label, proc, caches, wants) after it."""
+        caches, wants = key
         out = []
         for i in range(self.n):
-            if not self._can_complete(state, i):
-                continue
             ctok, cown, cval, cdata = caches[i]
+            nw = _set_entry(wants, i, None)
             if wants[i] == "r" and ctok >= 1 and cval:
-                nw = wants[:i] + (None,) + wants[i + 1:]
-                ns = make(state, wants=nw)
-                if on_complete is not None:
-                    ns = on_complete(ns, i)
-                out.append((f"read{i}", ns))
+                out.append((f"read{i}", i, caches, nw))
             elif wants[i] == "w" and ctok == self.T:
                 ncache = (ctok, True, True, (cdata + 1) % self.D)
-                nc = caches[:i] + (ncache,) + caches[i + 1:]
-                nw = wants[:i] + (None,) + wants[i + 1:]
-                ns = make(state, caches=nc, wants=nw)
-                if on_complete is not None:
-                    ns = on_complete(ns, i)
-                out.append((f"write{i}", ns))
+                out.append((f"write{i}", i, _set_entry(caches, i, ncache), nw))
         return out
 
     # -- invariants --------------------------------------------------------
@@ -292,33 +359,7 @@ class TokenDstModel(_TokenBase):
         out += self._want_transitions(state, self._make)
         out += self._transfer_transitions(state, self._make)
         out += self._complete_transitions(state, self._make, self._on_complete)
-
-        # Issue a persistent request (gated by the local marking rule).
-        for i in range(self.n):
-            if wants[i] is None or pr[i] is not None:
-                continue
-            if any(e != 0 and e[2] for e in tables[i]):
-                continue  # wave rule: marked entries block re-issue
-            read = wants[i] == "r"
-            ntables = list(tables)
-            npr = pr[:i] + ("req",) + pr[i + 1:]
-            if self.atomic_broadcasts:
-                for site in range(self.n + 1):
-                    ntables[site] = _set_entry(tables[site], i, (1, read, False))
-                out.append((
-                    f"persist{i}",
-                    self._make(state, tables=tuple(ntables), pr=npr),
-                ))
-            else:
-                ntables[i] = _set_entry(tables[i], i, (1, read, False))
-                nnet = net
-                for site in range(self.n + 1):
-                    if site != i:
-                        nnet = _add(nnet, ("act", site, i, read))
-                out.append((
-                    f"persist{i}",
-                    self._make(state, net=nnet, tables=tuple(ntables), pr=npr),
-                ))
+        out += _splice_persist(state, self._persist_moves(state[3:]))
 
         # Deliver activates/deactivates (per-site message mode only).
         # dict.fromkeys: dedup like set() but in net's sorted-by-repr order,
@@ -342,6 +383,37 @@ class TokenDstModel(_TokenBase):
                 ))
 
         # Forward tokens to the active persistent request at each site.
+        out += _splice(state, 0, 3, self._forward_moves(state[:3] + (tables,)))
+        return out
+
+    @_memoized
+    def _persist_moves(self, key):
+        """Issue a persistent request (gated by the local marking rule):
+        (label, activates to send, tables, pr) per proc that may."""
+        wants, tables, pr = key
+        out = []
+        for i in range(self.n):
+            if wants[i] is None or pr[i] is not None:
+                continue
+            if any(e != 0 and e[2] for e in tables[i]):
+                continue  # wave rule: marked entries block re-issue
+            read = wants[i] == "r"
+            ntables = list(tables)
+            npr = pr[:i] + ("req",) + pr[i + 1:]
+            if self.atomic_broadcasts:
+                for site in range(self.n + 1):
+                    ntables[site] = _set_entry(tables[site], i, (1, read, False))
+                out.append((f"persist{i}", (), tuple(ntables), npr))
+            else:
+                ntables[i] = _set_entry(tables[i], i, (1, read, False))
+                acts = tuple(("act", site, i, read) for site in range(self.n + 1) if site != i)
+                out.append((f"persist{i}", acts, tuple(ntables), npr))
+        return out
+
+    @_memoized
+    def _forward_moves(self, key):
+        caches, mem, net, tables = key
+        out = []
         if len(net) < self.net_cap:
             for site in range(self.n):
                 act = self._active(tables[site])
@@ -361,10 +433,7 @@ class TokenDstModel(_TokenBase):
                 ncache, value = _take(caches[site], give, cown)
                 msg = ("tok", proc, give, cown, value if (cown or cval) else None)
                 nc = caches[:site] + (ncache,) + caches[site + 1:]
-                out.append((
-                    f"fwd{site}->{proc}",
-                    self._make(state, caches=nc, net=_add(net, msg)),
-                ))
+                out.append((f"fwd{site}->{proc}", (nc, mem, _add(net, msg))))
             act = self._active(tables[self.n])
             if act is not None:
                 proc, read = act
@@ -374,10 +443,7 @@ class TokenDstModel(_TokenBase):
                     with_owner = mown and give == mtok
                     msg = ("tok", proc, give, with_owner, mval if mown else None)
                     nmem = (mtok - give, mown and not with_owner, mval)
-                    out.append((
-                        f"fwdmem->{proc}",
-                        self._make(state, mem=nmem, net=_add(net, msg)),
-                    ))
+                    out.append((f"fwdmem->{proc}", (caches, nmem, _add(net, msg))))
         return out
 
     def _on_complete(self, state, i):
@@ -678,11 +744,22 @@ class TokenRecreateModel(_TokenBase):
         return tuple(slots)
 
     def transitions(self, state):
-        caches, mem, net, wants, ceps, epoch, rec, lost = state
+        out = []
+        out += self._want_transitions(state, self._mk)
+        out += self._complete_transitions(state, self._mk)
+        # The other moves read every slot but ``wants``, and of ``wants``
+        # only whether any processor wants something.
+        wants = state[3]
+        key = state[:3] + state[4:] + (wants.count(None) < len(wants),)
+        out += _restore_wants(state, self._recovery_moves(key))
+        return out
+
+    @_memoized
+    def _recovery_moves(self, key):
+        caches, mem, net, ceps, epoch, rec, lost, wanting = key
+        state = (caches, mem, net, None, ceps, epoch, rec, lost)
         mk = self._mk
         out = []
-        out += self._want_transitions(state, mk)
-        out += self._complete_transitions(state, mk)
 
         # Nondeterministic performance policy, epoch-stamped carriers.
         if len(net) < self.net_cap:
@@ -760,7 +837,7 @@ class TokenRecreateModel(_TokenBase):
         # Recreation tier.  A starving processor escalates; memory bumps
         # the epoch and broadcasts (control messages bypass the cap and
         # are never lost, like the injector's recreation-class clamp).
-        if rec is None and any(w is not None for w in wants):
+        if rec is None and wanting:
             nnet = net
             for site in range(self.n):
                 nnet = _add(nnet, ("epoch", site, epoch + 1))

@@ -13,9 +13,13 @@ Three angles, per the paper's Section 5 technique list:
 
 Plus pinned state/transition counts for the real protocol models, so an
 accidental change to transition enumeration (e.g. a nondeterministic
-iteration order creeping back in) fails loudly.
+iteration order creeping back in) fails loudly, and pinned transition
+streams: a sha256 over ``repr(model.transitions(state))`` for every state
+in the checker's BFS order, which also catches a change of successor
+order, label or printed form that leaves the counts alone.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -23,7 +27,12 @@ import pytest
 from repro.common.errors import VerificationError
 from repro.verification.checker import Model, check
 from repro.verification.dir_model import DirFlatModel
-from repro.verification.token_model import TokenArbModel, TokenDstModel, TokenSafetyModel
+from repro.verification.token_model import (
+    TokenArbModel,
+    TokenDstModel,
+    TokenRecreateModel,
+    TokenSafetyModel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,36 @@ def test_toy_canonicalize_is_idempotent_and_orbit_stable():
 # ---------------------------------------------------------------------------
 # Pinned exploration sizes for the real models.
 # ---------------------------------------------------------------------------
+def _checked_stream(model, **kw):
+    """``check(model, **kw)`` plus the sha256 of its transition stream."""
+    digest = hashlib.sha256()
+    transitions = model.transitions
+
+    def hashed(state):
+        out = transitions(state)
+        digest.update(repr(out).encode())
+        return out
+
+    model.transitions = hashed
+    return check(model, **kw), digest.hexdigest()
+
+
+@pytest.mark.parametrize("make_model, liveness, sha", [
+    (TokenSafetyModel, False,
+     "31030337e1ce005c617ac8d9c59cec029275e0613dc0d30e46b260e9ff254bd3"),
+    (lambda: TokenDstModel(coarse_sends=True, atomic_broadcasts=True), True,
+     "01268608e9a6f03edfe20cf4879026b8e4aaaa6a08906bb08dfb4661014140cf"),
+    (TokenRecreateModel, False,
+     "787fba947d2a14c3e20c1c042d7365437b57b21c7e7fceb831b94ca086ea195b"),
+    (DirFlatModel, True,
+     "ef55b17b6c3d7e45645e57debcf72611df203c670fd3653234bf10453941ff9b"),
+], ids=["safety", "dst", "recreate", "dir-flat"])
+def test_transition_stream_pinned_verify_fast(make_model, liveness, sha):
+    """The ``verify --fast`` models' successor lists, byte for byte."""
+    _result, stream = _checked_stream(make_model(), check_liveness=liveness)
+    assert stream == sha
+
+
 def test_checker_counts_pinned_token_safety():
     result = check(TokenSafetyModel(), check_liveness=False)
     assert result.to_dict() == {
@@ -190,7 +229,9 @@ def test_checker_counts_pinned_token_dst():
 @pytest.mark.tier2
 def test_checker_counts_pinned_token_arb_full():
     """The full ``python -m repro verify`` arb model (about two minutes)."""
-    result = check(TokenArbModel(coarse_sends=True, atomic_broadcasts=True))
+    result, stream = _checked_stream(
+        TokenArbModel(coarse_sends=True, atomic_broadcasts=True))
+    assert stream == "e4e9a131a61fee12de92f70b2c6f705dc7ad8a16718d163e8c910373293cbffb"
     assert result.to_dict() == {
         "model": "TokenCMP-arb",
         "states": 444360,
@@ -198,6 +239,22 @@ def test_checker_counts_pinned_token_arb_full():
         "diameter": 45,
         "quiescent_states": 52,
         "liveness_checked": True,
+    }
+
+
+@pytest.mark.tier2
+def test_checker_counts_pinned_token_safety_three_caches():
+    """The Section 5 bench's wider safety configuration (about 15 s)."""
+    result, stream = _checked_stream(
+        TokenSafetyModel(n_caches=3, total_tokens=4), check_liveness=False)
+    assert stream == "446f6ff935f5e173de1426996205f6cd2d26ed32faad0c4da25815fbde9a2f6c"
+    assert result.to_dict() == {
+        "model": "TokenCMP-safety",
+        "states": 71276,
+        "transitions": 496798,
+        "diameter": 23,
+        "quiescent_states": 140,
+        "liveness_checked": False,
     }
 
 

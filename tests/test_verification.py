@@ -6,6 +6,8 @@ is load-bearing for the Section 5 reproduction, so it must demonstrably
 find violations, not just report success.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import VerificationError
@@ -18,6 +20,11 @@ from repro.verification.token_model import (
     TokenSafetyModel,
     _add,
 )
+
+
+def _text_digest(err) -> str:
+    """sha256 of an error's text: pins a counterexample trace byte for byte."""
+    return hashlib.sha256(str(err.value).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +177,9 @@ def test_seeded_bug_premature_recreation_completion_caught():
                 out.append((label, nxt))
             return out
 
-    with pytest.raises(VerificationError, match="conservation"):
+    with pytest.raises(VerificationError, match="conservation") as err:
         check(Broken(), max_states=500_000, check_liveness=False)
+    assert _text_digest(err) == "c1f638d9fdb638bb4f10f6e9f2fd77c453f5037e5f12cf620a230fb54466ab81"
 
 
 def test_seeded_bug_memory_granting_during_recreation_caught():
@@ -200,8 +208,9 @@ def test_seeded_bug_memory_granting_during_recreation_caught():
                     ))
             return out
 
-    with pytest.raises(VerificationError, match="conservation"):
+    with pytest.raises(VerificationError, match="conservation") as err:
         check(Broken(), max_states=500_000, check_liveness=False)
+    assert _text_digest(err) == "e7e8926109b4bc7347e70460ea9693f22c1f5b0268da0e23a479391476b843de"
 
 
 def test_flat_directory_model_verifies():
@@ -237,8 +246,9 @@ def test_seeded_bug_premature_write_caught():
                     out.append((f"bad_write{i}", make(state, caches=nc, wants=nw)))
             return out
 
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as err:
         check(Broken(), max_states=500_000, check_liveness=False)
+    assert _text_digest(err) == "89a6c0f71832c06fb7e75f80dd5903568a50f9b8a6e7597352925ccff644ac5a"
 
 
 def test_seeded_bug_token_duplication_caught():
@@ -256,8 +266,9 @@ def test_seeded_bug_token_duplication_caught():
                 out.append(("mint", make(state, caches=nc)))
             return out
 
-    with pytest.raises(VerificationError, match="conservation"):
+    with pytest.raises(VerificationError, match="conservation") as err:
         check(Broken(), max_states=500_000, check_liveness=False)
+    assert _text_digest(err) == "933ab144cb7de9e8e0b26f72fe03ab65956b3a0dad4cfca68bb92fb8a71cc438"
 
 
 def test_seeded_bug_directory_stale_sharer_caught():
@@ -282,13 +293,32 @@ def test_seeded_bug_directory_stale_sharer_caught():
 
     # Shared (S) copies only arise without the migratory optimization
     # (with it, a read of a modified block takes the whole block).
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as err:
         check(Broken2(migratory=False), max_states=500_000, check_liveness=False)
+    assert _text_digest(err) == "85926ac78deb2302e2e42f1aa57b5ec4a18b362a3f01ba7cca9be34500c0bac6"
 
 
 def test_spec_size_counts_code_lines():
     lines = spec_size(CounterModel)
     assert 5 < lines < 20
+
+
+class DocstringTailModel(CounterModel):
+    """A model whose method docstring closes on a text line."""
+
+    def transitions(self, state):
+        """Count up; this docstring closes at the end
+        of a text line, not on a line of its own."""
+        nxt = (state + 1) % 4
+        return [("inc", nxt)]
+
+    def is_quiescent(self, state):
+        return state == 0
+
+
+def test_spec_size_counts_code_after_a_docstring_closing_on_a_text_line():
+    # class, def transitions, its two statements, def is_quiescent, return.
+    assert spec_size(DocstringTailModel) == 6
 
 
 # ---------------------------------------------------------------------------
