@@ -23,6 +23,14 @@ from repro.memory.cache import CacheArray
 from repro.sim.kernel import Simulator
 from repro.system.config import ProtocolConfig
 
+# Hot dispatch ladders compare against module aliases: a global load
+# instead of an enum-class attribute lookup per test.
+_TOK_GETS = MsgType.TOK_GETS
+_TOK_GETX = MsgType.TOK_GETX
+_PERSIST_ACTIVATE = MsgType.PERSIST_ACTIVATE
+_PERSIST_DEACTIVATE = MsgType.PERSIST_DEACTIVATE
+_TOK_RECREATE_EPOCH = MsgType.TOK_RECREATE_EPOCH
+
 _TOKEN_CARRIERS = (MsgType.TOK_DATA, MsgType.TOK_ACK, MsgType.TOK_WB, MsgType.TOK_WB_DATA)
 
 
@@ -66,7 +74,8 @@ class TokenCacheController:
         self._process_cb = self._process
         self._counters = stats.counters  # defaultdict: bare += per bump
         self._lookup = array.lookup
-        net.register(node, self.handle)
+        # The kernel relays the lookup hop (``handle``'s whole body).
+        net.register(node, self.handle, lookup_latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
     @property
@@ -97,20 +106,23 @@ class TokenCacheController:
     # Message handling.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        """Network entry point: model the tag-lookup latency, then act."""
+        """Network entry point: model the tag-lookup latency, then act.
+
+        Untraced, unfaulted deliveries skip this frame: the kernel
+        relays the hop itself (registered in ``__init__``)."""
         self._call_after(self.lookup_latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
-        if t in (MsgType.TOK_GETS, MsgType.TOK_GETX):
+        if t in (_TOK_GETS, _TOK_GETX):
             self._on_transient(msg)
         elif t in _TOKEN_CARRIERS:
             self._on_tokens(msg)
-        elif t is MsgType.PERSIST_ACTIVATE:
+        elif t is _PERSIST_ACTIVATE:
             self._on_activate(msg)
-        elif t is MsgType.PERSIST_DEACTIVATE:
+        elif t is _PERSIST_DEACTIVATE:
             self._on_deactivate(msg)
-        elif t is MsgType.TOK_RECREATE_EPOCH:
+        elif t is _TOK_RECREATE_EPOCH:
             self._on_recreate_epoch(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")
@@ -301,7 +313,7 @@ class TokenCacheController:
 
         T = self.params.tokens_per_block
         local = requestor.chip == self.chip
-        if mtype is MsgType.TOK_GETX:
+        if mtype is _TOK_GETX:
             self._send_tokens(
                 requestor, addr, entry,
                 give=entry.tokens, give_owner=entry.owner, include_data=entry.owner,

@@ -22,6 +22,10 @@ from repro.core.filter import SharerFilter
 from repro.core.ledger import ChipTokenLedger
 from repro.interconnect.message import Message, MsgType
 
+# Per-request checks compare against a module alias: a global load
+# instead of an enum-class attribute lookup per test.
+_TOK_GETX = MsgType.TOK_GETX
+
 
 class TokenL2Controller(TokenCacheController):
     """One L2 bank participating in TokenCMP."""
@@ -69,7 +73,7 @@ class TokenL2Controller(TokenCacheController):
 
     def _is_l2_miss(self, msg: Message) -> bool:
         assert self.ledger is not None, "ledger not wired"
-        if msg.mtype is MsgType.TOK_GETX:
+        if msg.mtype is _TOK_GETX:
             return self.ledger.tokens_on_chip(msg.addr) < self.params.tokens_per_block
         return not self.ledger.can_satisfy_read(
             msg.addr, msg.requestor, self.params.tokens_per_block

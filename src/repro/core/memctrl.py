@@ -21,6 +21,20 @@ from repro.interconnect.network import Network
 from repro.memory.dram import MemoryImage
 from repro.sim.kernel import Simulator
 
+# Hot dispatch ladders compare against module aliases: a global load
+# instead of an enum-class attribute lookup per test.
+_TOK_GETS = MsgType.TOK_GETS
+_TOK_GETX = MsgType.TOK_GETX
+_TOK_DATA = MsgType.TOK_DATA
+_TOK_ACK = MsgType.TOK_ACK
+_TOK_WB = MsgType.TOK_WB
+_TOK_WB_DATA = MsgType.TOK_WB_DATA
+_PERSIST_ACTIVATE = MsgType.PERSIST_ACTIVATE
+_PERSIST_DEACTIVATE = MsgType.PERSIST_DEACTIVATE
+_TOK_RECREATE_REQ = MsgType.TOK_RECREATE_REQ
+_TOK_RECREATE_ACK = MsgType.TOK_RECREATE_ACK
+_TOK_RECREATE_DATA = MsgType.TOK_RECREATE_DATA
+
 
 class _Recreation:
     """One in-progress token recreation (epoch bump) at the home node."""
@@ -68,7 +82,8 @@ class TokenMemController:
         # Hot-path bindings, resolved once instead of per message.
         self._call_after = sim.call_after
         self._process_cb = self._process
-        net.register(node, self.handle)
+        # The kernel relays the lookup hop (``handle``'s whole body).
+        net.register(node, self.handle, params.mem_ctrl_latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
     def tokens_of(self, addr: int) -> int:
@@ -101,15 +116,19 @@ class TokenMemController:
 
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
+        """Network entry point: model the lookup latency, then act.
+
+        Untraced, unfaulted deliveries skip this frame: the kernel
+        relays the hop itself (registered in ``__init__``)."""
         self._call_after(self.params.mem_ctrl_latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
-        if t in (MsgType.TOK_GETS, MsgType.TOK_GETX):
+        if t in (_TOK_GETS, _TOK_GETX):
             self._on_transient(msg)
-        elif t in (MsgType.TOK_DATA, MsgType.TOK_ACK, MsgType.TOK_WB, MsgType.TOK_WB_DATA):
+        elif t in (_TOK_DATA, _TOK_ACK, _TOK_WB, _TOK_WB_DATA):
             self._on_tokens(msg)
-        elif t is MsgType.PERSIST_ACTIVATE:
+        elif t is _PERSIST_ACTIVATE:
             self.table.insert(
                 PersistentEntry(
                     proc=msg.extra, requestor=msg.requestor, addr=msg.addr,
@@ -117,12 +136,12 @@ class TokenMemController:
                 )
             )
             self._forward_check(msg.addr)
-        elif t is MsgType.PERSIST_DEACTIVATE:
+        elif t is _PERSIST_DEACTIVATE:
             self.table.remove(msg.extra, msg.addr)
             self._forward_check(msg.addr)
-        elif t is MsgType.TOK_RECREATE_REQ:
+        elif t is _TOK_RECREATE_REQ:
             self._on_recreate_req(msg)
-        elif t in (MsgType.TOK_RECREATE_ACK, MsgType.TOK_RECREATE_DATA):
+        elif t in (_TOK_RECREATE_ACK, _TOK_RECREATE_DATA):
             self._on_recreate_ack(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")
@@ -256,7 +275,7 @@ class TokenMemController:
             return  # tokens reserved for the active persistent request
         tokens = self.tokens_of(addr)
         owner = self.is_owner(addr)
-        if msg.mtype is MsgType.TOK_GETX:
+        if msg.mtype is _TOK_GETX:
             if tokens > 0:
                 self._respond(msg.requestor, addr, give=tokens, give_owner=owner)
             return

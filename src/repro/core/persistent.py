@@ -35,6 +35,11 @@ from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
 from repro.sim.kernel import Simulator
 
+# Hot dispatch ladders compare against module aliases: a global load
+# instead of an enum-class attribute lookup per test.
+_PERSIST_REQ = MsgType.PERSIST_REQ
+_PERSIST_DEACTIVATE = MsgType.PERSIST_DEACTIVATE
+
 
 @dataclasses.dataclass
 class PersistentEntry:
@@ -134,18 +139,23 @@ class Arbiter:
         self.stats = stats
         self._queue: Deque[Message] = deque()
         self._active: Optional[Message] = None
-        net.register(node, self.handle)
+        # The kernel relays the lookup hop (``handle``'s whole body).
+        net.register(node, self.handle, params.mem_ctrl_latency_ps, self._process)
 
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
+        """Network entry point: model the lookup latency, then act.
+
+        Untraced, unfaulted deliveries skip this frame: the kernel
+        relays the hop itself (registered in ``__init__``)."""
         self.sim.schedule(self.params.mem_ctrl_latency_ps, self._process, msg)
 
     def _process(self, msg: Message) -> None:
-        if msg.mtype is MsgType.PERSIST_REQ:
+        if msg.mtype is _PERSIST_REQ:
             self._queue.append(msg)
             self.stats.bump("arb.queued")
             self._maybe_activate()
-        elif msg.mtype is MsgType.PERSIST_DEACTIVATE:
+        elif msg.mtype is _PERSIST_DEACTIVATE:
             self._deactivate(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"arbiter got unexpected message {msg}")

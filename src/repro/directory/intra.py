@@ -32,6 +32,21 @@ from repro.interconnect.network import Network
 from repro.memory.cache import CacheArray
 from repro.sim.kernel import Simulator
 
+# Hot dispatch ladders compare against module aliases: a global load
+# instead of an enum-class attribute lookup per test.
+_DIR_GETS = MsgType.DIR_GETS
+_DIR_GETX = MsgType.DIR_GETX
+_DIR_UNBLOCK = MsgType.DIR_UNBLOCK
+_DIR_DATA = MsgType.DIR_DATA
+_DIR_ACK = MsgType.DIR_ACK
+_DIR_FWD_GETS = MsgType.DIR_FWD_GETS
+_DIR_FWD_GETX = MsgType.DIR_FWD_GETX
+_DIR_INV = MsgType.DIR_INV
+_DIR_WB_REQ = MsgType.DIR_WB_REQ
+_DIR_WB_DATA = MsgType.DIR_WB_DATA
+_DIR_WB_TOKEN = MsgType.DIR_WB_TOKEN
+_DIR_WB_GRANT = MsgType.DIR_WB_GRANT
+
 
 @dataclasses.dataclass
 class PendingGlobal:
@@ -99,7 +114,8 @@ class IntraDirL2Controller:
         self._latency_ps = params.l2_latency_ps
         self._call_after = sim.call_after
         self._process_cb = self._process
-        net.register(node, self.handle)
+        # The kernel relays the lookup hop (``handle``'s whole body).
+        net.register(node, self.handle, self._latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
     @property
@@ -117,26 +133,30 @@ class IntraDirL2Controller:
         self.net.send(Message(mtype=mtype, src=self.node, dst=dst, addr=addr, **kw))
 
     def handle(self, msg: Message) -> None:
+        """Network entry point: model the lookup latency, then act.
+
+        Untraced, unfaulted deliveries skip this frame: the kernel
+        relays the hop itself (registered in ``__init__``)."""
         self._call_after(self._latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
-        if t in (MsgType.DIR_GETS, MsgType.DIR_GETX):
+        if t in (_DIR_GETS, _DIR_GETX):
             if msg.src.chip == self.chip and msg.src.kind in (NodeKind.L1D, NodeKind.L1I):
                 self._on_local_request(msg)
             else:  # pragma: no cover - defensive
                 raise ValueError(f"{self.node}: chip-level request routed here: {msg}")
-        elif t is MsgType.DIR_UNBLOCK:
+        elif t is _DIR_UNBLOCK:
             self._on_local_unblock(msg)
-        elif t is MsgType.DIR_DATA:
+        elif t is _DIR_DATA:
             self._on_global_data(msg)
-        elif t is MsgType.DIR_ACK:
+        elif t is _DIR_ACK:
             self._on_ack(msg)
-        elif t in (MsgType.DIR_FWD_GETS, MsgType.DIR_FWD_GETX, MsgType.DIR_INV):
+        elif t in (_DIR_FWD_GETS, _DIR_FWD_GETX, _DIR_INV):
             self._on_external(msg)
-        elif t in (MsgType.DIR_WB_REQ, MsgType.DIR_WB_DATA, MsgType.DIR_WB_TOKEN):
+        elif t in (_DIR_WB_REQ, _DIR_WB_DATA, _DIR_WB_TOKEN):
             self._on_writeback(msg)
-        elif t is MsgType.DIR_WB_GRANT:
+        elif t is _DIR_WB_GRANT:
             self._on_chip_wb_grant(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")

@@ -21,6 +21,16 @@ from repro.interconnect.network import Network
 from repro.memory.cache import CacheArray
 from repro.sim.kernel import Simulator
 
+# Hot dispatch ladders compare against module aliases: a global load
+# instead of an enum-class attribute lookup per test.
+_DIR_DATA = MsgType.DIR_DATA
+_DIR_ACK = MsgType.DIR_ACK
+_DIR_FWD_GETS = MsgType.DIR_FWD_GETS
+_DIR_FWD_GETX = MsgType.DIR_FWD_GETX
+_DIR_INV = MsgType.DIR_INV
+_DIR_RECALL = MsgType.DIR_RECALL
+_DIR_WB_GRANT = MsgType.DIR_WB_GRANT
+
 
 class DirL1Controller:
     """One L1 data cache in DirectoryCMP."""
@@ -54,7 +64,8 @@ class DirL1Controller:
         self._attempt_cb = self._attempt
         self._counters = stats.counters  # defaultdict: bare += per bump
         self._miss_latency = stats.summaries["l1.miss_latency_ps"]
-        net.register(node, self.handle)
+        # The kernel relays the lookup hop (``handle``'s whole body).
+        net.register(node, self.handle, self._latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
     def _home_l2(self, addr: int) -> NodeId:
@@ -123,17 +134,21 @@ class DirL1Controller:
     # Message handling.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
+        """Network entry point: model the lookup latency, then act.
+
+        Untraced, unfaulted deliveries skip this frame: the kernel
+        relays the hop itself (registered in ``__init__``)."""
         self._call_after(self._latency_ps, self._process_cb, msg)
 
     def _process(self, msg: Message) -> None:
         t = msg.mtype
-        if t is MsgType.DIR_DATA:
+        if t is _DIR_DATA:
             self._on_data(msg)
-        elif t is MsgType.DIR_ACK:
+        elif t is _DIR_ACK:
             self._on_ack(msg)
-        elif t in (MsgType.DIR_FWD_GETS, MsgType.DIR_FWD_GETX, MsgType.DIR_INV, MsgType.DIR_RECALL):
+        elif t in (_DIR_FWD_GETS, _DIR_FWD_GETX, _DIR_INV, _DIR_RECALL):
             self._on_demand(msg)
-        elif t is MsgType.DIR_WB_GRANT:
+        elif t is _DIR_WB_GRANT:
             self._on_wb_grant(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")

@@ -40,7 +40,7 @@ so a faulty run is exactly reproducible from its seed.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.rng import substream
 from repro.common.stats import Stats
@@ -178,8 +178,16 @@ class FaultyNetwork:
     # ------------------------------------------------------------------
     # Network interface (controllers are oblivious to the wrapper).
     # ------------------------------------------------------------------
-    def register(self, node: NodeId, handler: Handler) -> None:
+    def register(self, node: NodeId, handler: Handler, relay_ps: int = 0,
+                 callee: Optional[Handler] = None) -> None:
+        # Faults are decided at the nominal arrival, so the endpoint is
+        # the wrapped ``handler`` itself: no kernel-relayed lookup hop.
         self._inner.register(node, lambda msg: self._on_arrival(handler, msg))
+
+    def send_fanout(self, template: Message, dests) -> None:
+        # One addressed clone per destination: ``_on_arrival`` keys the
+        # persistent FIFO clamp on ``msg.dst``.
+        self._inner.send_clones(template, dests)
 
     def send(self, msg: Message) -> None:
         self._track(msg)

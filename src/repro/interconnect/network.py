@@ -41,13 +41,22 @@ precomputed at construction time:
 * **integer link serialization** — each :class:`Link` folds its
   bandwidth into an exact integer numerator/denominator pair at
   construction, so ``traverse`` is pure integer arithmetic (no float
-  rounding, no platform-dependent timing).
+  rounding, no platform-dependent timing);
+* **relayed lookup hops** — an endpoint registered with a relay
+  (``register(node, handle, relay_ps, callee)``) is delivered through
+  :meth:`Simulator.relay_at`: the kernel performs the entry point's
+  ``call_after(relay_ps, callee, msg)`` itself, so a delivered message
+  costs one Python frame (the callee's) with the same events in the
+  same ``(time, seq)`` order;
+* **one shared broadcast message** — untraced and unfaulted,
+  ``send_fanout`` delivers one read-only copy of its template to every
+  destination instead of one pooled clone each.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
@@ -143,6 +152,8 @@ class BufferedLink(Link):
 
 
 Handler = Callable[[Message], None]
+#: An endpoint registration: ``(handler, relay_ps, callee)``.
+Endpoint = Tuple[Handler, int, Optional[Handler]]
 
 
 class Network:
@@ -152,7 +163,7 @@ class Network:
         self.sim = sim
         self.params = params
         self.meter = meter
-        self._endpoints: Dict[NodeId, Handler] = {}
+        self._endpoints: Dict[NodeId, Endpoint] = {}
         # Prebound dict.get of the endpoint table (mutated in place by
         # ``register``, so the bound method stays valid).
         self._endpoint_of = self._endpoints.get
@@ -226,11 +237,24 @@ class Network:
         return self._dest_sets.setdefault(dests, dests)
 
     # ------------------------------------------------------------------
-    def register(self, node: NodeId, handler: Handler) -> None:
-        """Attach a controller callback as the endpoint for ``node``."""
+    def register(self, node: NodeId, handler: Handler, relay_ps: int = 0,
+                 callee: Optional[Handler] = None) -> None:
+        """Attach a controller callback as the endpoint for ``node``.
+
+        A ``handler`` whose whole body is ``sim.call_after(relay_ps,
+        callee, msg)`` (a controller's lookup-latency entry point) may
+        declare that with ``relay_ps > 0`` and ``callee``: untraced
+        deliveries then let the kernel relay the hop
+        (:meth:`Simulator.relay_at`) instead of calling ``handler``.
+        Traced deliveries, and fault wrappers, still call ``handler``.
+        """
         if node in self._endpoints:
             raise ConfigError(f"endpoint {node} registered twice")
-        self._endpoints[node] = handler
+        if relay_ps < 0 or (relay_ps > 0 and callee is None):
+            raise ConfigError(
+                f"endpoint {node}: a relay needs relay_ps >= 0 and a callee"
+            )
+        self._endpoints[node] = (handler, relay_ps, callee if relay_ps else None)
 
     def send(self, msg: Message) -> None:
         """Route ``msg`` from ``msg.src`` to ``msg.dst`` and deliver it."""
@@ -273,7 +297,8 @@ class Network:
             mmsgs[scope] += 1
         tracer = sim.tracer
         if tracer is None:
-            sim.call_at(arrival, endpoint, msg)
+            handler, relay_ps, callee = endpoint
+            sim.relay_at(arrival, handler, msg, relay_ps, callee)
         else:
             # Same event count and (time, seq) order as the untraced path:
             # the delivery shim only adds the msg.recv emission.
@@ -281,43 +306,38 @@ class Network:
             sim.call_at(arrival, self._deliver_traced, msg)
 
     def send_fanout(self, template: Message, dests) -> None:
-        """Clone ``template`` to every destination, sending each clone.
+        """Deliver ``template`` to every destination in ``dests``.
 
-        The pooled fast path of the template/``clone_to`` broadcast idiom:
-        clones come from the message pool (one dict stamp per destination,
-        no allocation in steady state) and each is released by its
-        receiving controller when its dispatch completes.  The template
-        itself stays with the caller, which releases it after the fan-out.
+        Untraced, every destination receives one shared read-only copy of
+        ``template`` (its ``dst`` and ``uid`` are the template's, and it
+        is not pool-owned, so the receivers' release is a no-op).
+        Receivers never read ``dst``/``uid``, mutate or keep a message
+        (pool discipline), so sharing is invisible.  One ``uid`` is
+        still drawn per destination, as a per-destination clone would,
+        so every later uid is unchanged.  The template stays with the
+        caller, which releases it after the fan-out.
 
-        Fault-injection wrappers deliberately do not override this: the
-        messages that fan out (transient requests, persistent activates/
-        deactivates, epoch bumps) never carry tokens, so in-flight token
-        tracking has nothing to track, and fault policies apply at arrival
-        through the wrapped endpoint handlers either way.
+        Traced, each destination gets its own pooled clone so the
+        tracer sees per-message ids (:meth:`send_clones`).  Fault
+        wrappers use :meth:`send_clones` too: the messages that fan out
+        (transient requests, persistent activates/deactivates, epoch
+        bumps) never carry tokens, but the fault injector keys its
+        persistent FIFO clamp on each message's ``dst``.
         """
-        pool = self.pool
-        send = self.send
-        if not pool.enabled:
-            for dst in dests:
-                send(template.clone_to(dst))
-            return
-        clone = pool.clone
         sim = self.sim
         if sim.tracer is not None:
-            for dst in dests:
-                send(clone(template, dst))
+            self.send_clones(template, dests)
             return
-        # Untraced pooled fast path: every clone shares the template's
-        # src/mtype, so the route row, wire size and metering keys are
-        # resolved once for the whole fan-out instead of per destination,
-        # and the (endpoint, route) pairs plus per-scope link counts come
-        # from a plan cached by destination-tuple identity (broadcast
-        # dest tuples are interned per machine, see ``intern_dests``).
-        # Clone order, link busy_until order and event (time, seq) order
-        # are identical to the per-destination ``send`` loop; metering
-        # is applied as one aggregate bump per scope — same final
-        # counters, addition is commutative and the meter is only read
-        # between events.
+        # Every destination shares the template's src/mtype, so the route
+        # row, wire size and metering keys are resolved once for the
+        # whole fan-out instead of per destination, and the (endpoint,
+        # route) pairs plus per-scope link counts come from a plan cached
+        # by destination-tuple identity (broadcast dest tuples are
+        # interned per machine, see ``intern_dests``).  Link busy_until
+        # order and event (time, seq) order are identical to a
+        # per-destination ``send`` loop; metering is applied as one
+        # aggregate bump per scope — same final counters, addition is
+        # commutative and the meter is only read between events.
         src = template.src
         row = self._fanout_plans.get(src)
         if row is None:
@@ -326,8 +346,7 @@ class Network:
         if entry is None or entry[0] is not dests:
             entry = self._build_fanout_plan(src, dests)
             if entry is None:  # per-destination send raises the error
-                for dst in dests:
-                    send(clone(template, dst))
+                self.send_clones(template, dests)
                 return
             if len(row) >= 64:
                 # Callers are expected to intern their destination tuples;
@@ -344,30 +363,20 @@ class Network:
         for scope, nlinks in scope_links:
             mbytes[keys[scope]] += nbytes * nlinks
             mmsgs[scope] += nlinks
+        shared = Message.__new__(Message)
+        shared_dict = shared.__dict__
+        shared_dict.update(template.__dict__)
+        shared_dict.pop("_pooled", None)
         now = sim._now
-        free = pool._free
-        tdict = template.__dict__
         # Kernel internals hoisted for the inlined no-handle scheduling
-        # below (the exact ``call_at`` body; arrivals can never precede
+        # below (the exact ``relay_at`` body; arrivals can never precede
         # ``now`` — serialization is >= 1 ps — so the past-check is
         # statically satisfied).
         queue = sim._queue
         efree = sim._free_events
-        pending = 0
-        for dst, endpoint, route in pairs:
-            # Inlined pool.clone (same counter and uid-draw order).
-            pool.acquires += 1
-            if free:
-                msg = free.pop()
-                d = msg.__dict__
-                d.update(tdict)
-                d["dst"] = dst
-                d["uid"] = next(_msg_ids)
-                d["_pooled"] = True
-            else:
-                pool.news += 1
-                msg = template.clone_to(dst)
-                msg.__dict__["_pooled"] = True
+        ids = _msg_ids
+        for endpoint, route in pairs:
+            next(ids)
             arrival = now
             for link in route:
                 if link.plain:
@@ -382,28 +391,36 @@ class Network:
                     arrival = begin + ser + link.latency_ps
                 else:
                     arrival = link.traverse(arrival, nbytes)
-            # Inlined Simulator.call_at (identical time/seq semantics).
+            handler, relay_ps, callee = endpoint
             sim._seq = seq = sim._seq + 1
             if efree:
                 event = efree.pop()
                 event[0] = arrival
                 event[1] = seq
-                event[2] = endpoint
-                event[3] = msg
+                event[2] = handler
+                event[3] = shared
+                event[4] = relay_ps
+                event[5] = callee
             else:
                 sim.event_news += 1
-                event = [arrival, seq, endpoint, msg, True]
-            pending += 1
+                event = [arrival, seq, handler, shared, relay_ps, callee]
             heappush(queue, event)
-        sim._pending += pending
+        sim._pending += len(pairs)
+
+    def send_clones(self, template: Message, dests) -> None:
+        """Send a pooled clone of ``template`` to each of ``dests``."""
+        clone = self.pool.clone
+        send = self.send
+        for dst in dests:
+            send(clone(template, dst))
 
     def _build_fanout_plan(self, src: NodeId, dests):
         """Resolve a broadcast's per-destination (endpoint, route) pairs.
 
         Returns ``(dests, pairs, scope_links)`` — the dests tuple itself
         (kept so the identity-keyed cache holds its key alive), one
-        ``(dst, endpoint, route)`` triple per destination, and the total
-        link count per scope for aggregate metering.  ``None`` when any
+        ``(endpoint, route)`` pair per destination, and the total link
+        count per scope for aggregate metering.  ``None`` when any
         destination lacks a route or a registered endpoint (the caller
         falls back to per-destination ``send``, which raises
         :class:`ConfigError` naming the offending pair).
@@ -419,7 +436,7 @@ class Network:
             endpoint = endpoint_of(dst)
             if route is None or endpoint is None:
                 return None
-            pairs.append((dst, endpoint, route))
+            pairs.append((endpoint, route))
             for link in route:
                 scope = link.scope
                 counts[scope] = counts.get(scope, 0) + 1
@@ -440,7 +457,7 @@ class Network:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.msg_recv(msg)
-        self._endpoints[msg.dst](msg)
+        self._endpoints[msg.dst][0](msg)
 
     def send_later(self, delay_ps: int, msg: Message) -> None:
         """Send ``msg`` after a local processing delay (e.g. DRAM access).

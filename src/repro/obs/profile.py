@@ -7,7 +7,11 @@ through two hooks:
   callback with :func:`time.perf_counter_ns` and reports
   ``record(fn, wall_ns)`` — aggregated here per *callback site*
   (``module.qualname``), giving fired-event counts and wall-time totals
-  per handler;
+  per handler.  A lookup hop the kernel relays (see
+  :meth:`~repro.sim.kernel.Simulator.relay_at`) is an event with no
+  handler frame; it is reported via ``record_relay(callee)`` and counted,
+  with no wall time, under the site ``<callee site> [relay]``, so the
+  per-site counts still sum to the events fired;
 * the **watcher hook** (:meth:`Simulator.add_watcher`): a periodic tick
   snapshots ``(simulated time, events fired, wall clock)`` so the report
   can show the simulation rate (events per wall-second, simulated ns per
@@ -54,9 +58,16 @@ class KernelProfiler:
 
     def record(self, fn, wall_ns: int) -> None:
         """Kernel callback: one event handler ran for ``wall_ns``."""
-        cell = self.sites.get(_site(fn))
+        self._count(_site(fn), wall_ns)
+
+    def record_relay(self, callee) -> None:
+        """Kernel callback: one lookup hop toward ``callee`` was relayed."""
+        self._count(f"{_site(callee)} [relay]", 0)
+
+    def _count(self, site: str, wall_ns: int) -> None:
+        cell = self.sites.get(site)
         if cell is None:
-            cell = self.sites[_site(fn)] = [0, 0, 0]
+            cell = self.sites[site] = [0, 0, 0]
         cell[0] += 1
         cell[1] += wall_ns
         if wall_ns > cell[2]:

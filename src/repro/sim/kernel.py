@@ -23,11 +23,24 @@ cost is kept to a handful of C-level operations:
   message deliveries, lookup-latency hops, thread resumptions — are
   never cancelled, so their handles are never kept.  :meth:`Simulator.
   call_after` / :meth:`Simulator.call_at` schedule a single-argument
-  callback as a plain ``[time, seq, fn, arg, True]`` list drawn from a
-  per-simulator freelist and returned to it right after firing: the
-  steady state allocates no new heap entries and no ``args`` tuples.
-  The run loop tells the two shapes apart with one ``type(event) is
-  list`` check (handle events are :class:`Event` instances).
+  callback as a plain ``[time, seq, fn, arg, relay, callee]`` list
+  (``relay`` 0) drawn from a per-simulator freelist and returned to it
+  right after firing: the steady state allocates no new heap entries
+  and no ``args`` tuples.  The run loop tells the two shapes apart with
+  one ``type(event) is list`` check (handle events are :class:`Event`
+  instances).
+* **The kernel relays lookup hops.**  A controller's network entry
+  point typically does nothing but ``call_after(lookup, callee, msg)``.
+  :meth:`Simulator.relay_at` schedules such a delivery as one record
+  with ``relay = lookup`` and the real ``callee``.  When the run loop
+  pops a record whose relay is non-zero, it moves the record to
+  ``now + relay``, gives it the next sequence number, clears the relay,
+  puts ``callee`` in the callback slot, re-pushes it and counts one
+  fired event — exactly what the entry point's ``call_after`` would
+  have done, in the same ``(time, seq)`` order, without a Python frame
+  or a freelist round trip.  The callee is restored from its own slot,
+  so an observer that swaps the callback slot on pop cannot leak into
+  the relayed record.
 * **Watchers are threshold-driven.**  Instead of a per-event
   ``events_fired % every`` scan over every registered watcher, the
   kernel keeps the next due cumulative event count per watcher and a
@@ -45,7 +58,8 @@ Observability hooks (both ``None`` by default, and free when unset):
   emit structured trace events only when it is set.
 * ``sim.profiler`` — a :class:`repro.obs.profile.KernelProfiler`; when
   set, the run loop times every callback with ``perf_counter_ns`` and
-  reports it via ``profiler.record(fn, wall_ns)``.  Attach it before
+  reports it via ``profiler.record(fn, wall_ns)`` (a relay, which runs
+  no callback, via ``profiler.record_relay(callee)``).  Attach it before
   calling :meth:`Simulator.run` — the run loop samples the hook once at
   entry.
 """
@@ -198,11 +212,13 @@ class Simulator:
         The no-allocation fast path for the overwhelmingly common case —
         message deliveries, lookup-latency hops, thread resumptions —
         where the caller never cancels.  The heap entry is a plain
-        ``[time, seq, fn, arg, True]`` list drawn from the simulator's
-        freelist and returned to it right after firing, and ``arg`` is
-        stored directly (no ``args`` tuple).  Time/sequence semantics are
-        identical to :meth:`schedule`, so swapping a ``schedule`` call
-        site to ``call_after`` never changes simulated behaviour.
+        ``[time, seq, fn, arg, relay, callee]`` list with ``relay`` 0
+        (recycled records always have it cleared), drawn from the
+        simulator's freelist and returned to it right after firing, and
+        ``arg`` is stored directly (no ``args`` tuple).  Time/sequence
+        semantics are identical to :meth:`schedule`, so swapping a
+        ``schedule`` call site to ``call_after`` never changes simulated
+        behaviour.
         """
         if delay_ps < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay_ps})")
@@ -216,7 +232,7 @@ class Simulator:
             event[3] = arg
         else:
             self.event_news += 1
-            event = [self._now + delay_ps, seq, fn, arg, True]
+            event = [self._now + delay_ps, seq, fn, arg, 0, None]
         self._pending += 1
         heappush(self._queue, event)
 
@@ -241,7 +257,46 @@ class Simulator:
             event[3] = arg
         else:
             self.event_news += 1
-            event = [time_ps, seq, fn, arg, True]
+            event = [time_ps, seq, fn, arg, 0, None]
+        self._pending += 1
+        heappush(self._queue, event)
+
+    def relay_at(
+        self,
+        time_ps: int,
+        fn: Callable[[Any], Any],
+        arg: Any,
+        relay_ps: int,
+        callee: Callable[[Any], Any],
+    ) -> None:
+        """Deliver ``arg`` at ``time_ps`` to an entry point ``fn`` whose
+        whole body is ``call_after(relay_ps, callee, arg)``; no handle.
+
+        The kernel stands in for ``fn``: at ``time_ps`` the record is
+        re-queued for ``time_ps + relay_ps`` under the next sequence
+        number with ``callee`` in its callback slot, and that counts as
+        one fired event — the same events in the same ``(time, seq)``
+        order as calling ``fn``, minus its frame.  ``relay_ps == 0``
+        means no relay: ``fn(arg)`` runs at ``time_ps`` like
+        :meth:`call_at`.
+        """
+        if time_ps < self._now:
+            raise ValueError(
+                f"cannot schedule in the past (t={time_ps} < now={self._now})"
+            )
+        self._seq = seq = self._seq + 1
+        free = self._free_events
+        if free:
+            event = free.pop()
+            event[0] = time_ps
+            event[1] = seq
+            event[2] = fn
+            event[3] = arg
+            event[4] = relay_ps
+            event[5] = callee
+        else:
+            self.event_news += 1
+            event = [time_ps, seq, fn, arg, relay_ps, callee]
         self._pending += 1
         heappush(self._queue, event)
 
@@ -303,6 +358,7 @@ class Simulator:
         # and no profiler check; everything else takes the generic loop.
         queue = self._queue
         pop = heappop
+        push = heappush
         profiler = self.profiler
         total = self.events_fired
         end = total + (_NEVER if max_events is None else max_events)
@@ -315,14 +371,27 @@ class Simulator:
                     fn = event[2]
                     if fn is None:
                         continue  # cancelled: uncounted by Event.cancel
-                    self._pending -= 1
-                    self._now = event[0]
                     if type(event) is list:  # recyclable no-handle entry
-                        fn(event[3])
-                        event[2] = None
-                        event[3] = None  # drop the arg reference promptly
-                        recycle(event)
+                        relay = event[4]
+                        if relay:
+                            # Relayed lookup hop: the entry point's
+                            # call_after, done in place (module docstring).
+                            self._now = now = event[0]
+                            event[0] = now + relay
+                            self._seq = event[1] = self._seq + 1
+                            event[2] = event[5]
+                            event[4] = 0
+                            push(queue, event)
+                        else:
+                            self._pending -= 1
+                            self._now = event[0]
+                            fn(event[3])
+                            event[2] = None
+                            event[3] = None  # drop the arg reference promptly
+                            recycle(event)
                     else:
+                        self._pending -= 1
+                        self._now = event[0]
                         event[2] = None  # mark fired: late cancel() no-ops
                         fn(*event[3])
                     total += 1
@@ -349,19 +418,30 @@ class Simulator:
                 fn = event[2]
                 if fn is None:
                     continue  # cancelled: already uncounted by Event.cancel
-                self._pending -= 1
                 self._now = when
                 if type(event) is list:  # recyclable no-handle entry
-                    if profiler is None:
-                        fn(event[3])
+                    relay = event[4]
+                    if relay:  # relayed lookup hop, as in the lean loop
+                        event[0] = when + relay
+                        self._seq = event[1] = self._seq + 1
+                        event[2] = callee = event[5]
+                        event[4] = 0
+                        push(queue, event)
+                        if profiler is not None:
+                            profiler.record_relay(callee)
                     else:
-                        start_ns = perf_counter_ns()
-                        fn(event[3])
-                        profiler.record(fn, perf_counter_ns() - start_ns)
-                    event[2] = None
-                    event[3] = None
-                    recycle(event)
+                        self._pending -= 1
+                        if profiler is None:
+                            fn(event[3])
+                        else:
+                            start_ns = perf_counter_ns()
+                            fn(event[3])
+                            profiler.record(fn, perf_counter_ns() - start_ns)
+                        event[2] = None
+                        event[3] = None
+                        recycle(event)
                 else:
+                    self._pending -= 1
                     event[2] = None  # mark fired so a late cancel() no-ops
                     if profiler is None:
                         fn(*event[3])

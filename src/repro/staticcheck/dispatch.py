@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.staticcheck.base import Pass, attr_chain, call_name, enum_members
 from repro.staticcheck.findings import Finding
@@ -312,25 +312,44 @@ def _send_site_of(call: ast.Call, env: _FnEnv, src: SourceFile) -> Optional[Send
 # ---------------------------------------------------------------------------
 # Ladder extraction.
 # ---------------------------------------------------------------------------
-def _module_mtype_constants(src: SourceFile) -> Dict[str, Set[str]]:
-    """Module-level ``NAME = (MsgType.A, MsgType.B, ...)`` constants."""
-    out: Dict[str, Set[str]] = {}
+#: A module-level MsgType alias: one member name (``NAME = MsgType.X``)
+#: or a set of them (``NAME = (MsgType.A, MsgType.B, ...)``).
+MtypeConstants = Dict[str, Union[str, Set[str]]]
+
+
+def _member_of(expr: ast.AST, constants: MtypeConstants) -> Optional[str]:
+    """The MsgType member ``expr`` denotes: ``MsgType.X`` or a scalar alias."""
+    if isinstance(expr, ast.Name):
+        value = constants.get(expr.id)
+        return value if isinstance(value, str) else None
+    chain = attr_chain(expr)
+    if chain and chain.startswith("MsgType."):
+        return chain.split(".", 1)[1]
+    return None
+
+
+def _module_mtype_constants(src: SourceFile) -> MtypeConstants:
+    """Module-level MsgType aliases, in definition order.
+
+    ``NAME = MsgType.X`` (or another scalar alias) maps to ``"X"``;
+    ``NAME = (MsgType.A, ALIAS, ...)`` maps to the set of member names.
+    A ladder arm may test against either, like the members themselves.
+    """
+    out: MtypeConstants = {}
     for stmt in src.tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             tgt = stmt.targets[0]
             if not isinstance(tgt, ast.Name):
                 continue
             if isinstance(stmt.value, (ast.Tuple, ast.List, ast.Set)):
-                members = set()
-                ok = True
-                for elt in stmt.value.elts:
-                    chain = attr_chain(elt)
-                    if chain and chain.startswith("MsgType."):
-                        members.add(chain.split(".", 1)[1])
-                    else:
-                        ok = False
-                if ok and members:
-                    out[tgt.id] = members
+                members = {_member_of(elt, out) for elt in stmt.value.elts}
+                value = members if members and None not in members else None
+            else:
+                value = _member_of(stmt.value, out)
+            if value is None:
+                out.pop(tgt.id, None)  # rebound to something else
+            else:
+                out[tgt.id] = value
     return out
 
 
@@ -354,7 +373,7 @@ def _mtype_subjects(fn: ast.AST) -> Set[str]:
 
 
 def _test_mtypes(
-    test: ast.AST, subjects: Set[str], constants: Dict[str, Set[str]]
+    test: ast.AST, subjects: Set[str], constants: MtypeConstants
 ) -> Set[str]:
     """MsgType members a ladder arm's test matches (empty: not an arm)."""
     out: Set[str] = set()
@@ -374,22 +393,24 @@ def _test_mtypes(
     op = test.ops[0]
     comp = test.comparators[0]
     if isinstance(op, (ast.Is, ast.Eq)):
-        chain = attr_chain(comp)
-        if chain and chain.startswith("MsgType."):
-            out.add(chain.split(".", 1)[1])
+        member = _member_of(comp, constants)
+        if member is not None:
+            out.add(member)
     elif isinstance(op, ast.In):
         if isinstance(comp, (ast.Tuple, ast.List, ast.Set)):
             for elt in comp.elts:
-                chain = attr_chain(elt)
-                if chain and chain.startswith("MsgType."):
-                    out.add(chain.split(".", 1)[1])
-        elif isinstance(comp, ast.Name) and comp.id in constants:
-            out |= constants[comp.id]
+                member = _member_of(elt, constants)
+                if member is not None:
+                    out.add(member)
+        elif isinstance(comp, ast.Name):
+            value = constants.get(comp.id)
+            if isinstance(value, set):
+                out |= value
     return out
 
 
 def _ladders_in_method(
-    fn: ast.FunctionDef, src: SourceFile, constants: Dict[str, Set[str]]
+    fn: ast.FunctionDef, src: SourceFile, constants: MtypeConstants
 ) -> List[Ladder]:
     subjects = _mtype_subjects(fn)
     if not subjects:

@@ -43,6 +43,7 @@ CI against ``protomodel-baseline.json``.
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import json
 import re
@@ -52,6 +53,7 @@ from repro.staticcheck.base import Pass, attr_chain, call_name
 from repro.staticcheck.dispatch import (
     FAMILY_BY_PREFIX,
     ROLE_BY_CLASS,
+    MtypeConstants,
     _FnEnv,
     _module_mtype_constants,
     _mtype_subjects,
@@ -298,7 +300,7 @@ class ControllerInfo:
 
 
 def _arm_chains(
-    fn: ast.FunctionDef, subjects: Set[str], constants: Dict[str, Set[str]]
+    fn: ast.FunctionDef, subjects: Set[str], constants: MtypeConstants
 ) -> List[Tuple[ast.If, List[Tuple[ast.If, Set[str]]]]]:
     """Top-of-chain If nodes with their mtype-matching arms.
 
@@ -368,6 +370,28 @@ def _collect_arm_sends(
     return sends
 
 
+class _AliasExpander(ast.NodeTransformer):
+    """Spell scalar MsgType aliases as ``MsgType.X`` (guard rendering)."""
+
+    def __init__(self, constants: MtypeConstants):
+        self.constants = constants
+
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        member = self.constants.get(node.id)
+        if isinstance(member, str):
+            return ast.Attribute(
+                value=ast.Name(id="MsgType", ctx=ast.Load()),
+                attr=member, ctx=ast.Load(),
+            )
+        return node
+
+
+def _guard_text(test: ast.AST, constants: MtypeConstants) -> str:
+    """An arm's guard as source, with scalar aliases spelled out, so an
+    alias on the hot path reads the same as the member it stands for."""
+    return ast.unparse(_AliasExpander(constants).visit(copy.deepcopy(test)))
+
+
 def _build_arm(
     ifnode: ast.If,
     matched: Set[str],
@@ -375,6 +399,7 @@ def _build_arm(
     esrc: SourceFile,
     clsname: str,
     realm: _Realm,
+    constants: MtypeConstants,
 ) -> Arm:
     env = _FnEnv(fn)
     handler: Optional[str] = None
@@ -400,7 +425,7 @@ def _build_arm(
     return Arm(
         mtypes=sorted(matched),
         line=ifnode.lineno,
-        guard=ast.unparse(ifnode.test),
+        guard=_guard_text(ifnode.test, constants),
         handler=handler,
         handler_line=handler_fn.lineno if handler_fn is not None else ifnode.lineno,
         handler_path=handler_src.path if handler_src is not None else esrc.path,
@@ -438,7 +463,8 @@ def extract_controllers(files: List[SourceFile]) -> Dict[str, ControllerInfo]:
         arms: List[Arm] = []
         for _head, chain_arms in chains:
             for ifnode, matched in chain_arms:
-                arms.append(_build_arm(ifnode, matched, fn, esrc, clsname, realm))
+                arms.append(_build_arm(ifnode, matched, fn, esrc, clsname, realm,
+                                       constants))
         arms.sort(key=lambda a: (a.line, a.mtypes))
         out[f"{family}/{role}"] = ControllerInfo(
             key=f"{family}/{role}", class_name=clsname, path=src.path,

@@ -251,3 +251,129 @@ def test_cancelled_event_is_marked_and_pending_drops():
     assert sim.pending == 0
     sim.run()
     assert sim.events_fired == 0
+
+
+# ---------------------------------------------------------------------------
+# Relayed lookup hops (Simulator.relay_at).
+# ---------------------------------------------------------------------------
+def _relay_scenario(sim, relayed, log):
+    """Deliveries whose entry point only re-schedules a callee after a
+    lookup latency, interleaved with plain events at colliding times."""
+
+    def callee(tag):
+        log.append((sim.now, "callee", tag))
+        if tag == "a":  # a callee scheduling more work mid-run
+            sim.call_after(5, lambda t: log.append((sim.now, "late", t)), tag)
+
+    def handle(tag):
+        log.append((sim.now, "handle", tag))  # never reached when relayed
+        sim.call_after(10, callee, tag)
+
+    for when, tag in ((0, "a"), (5, "b"), (10, "c"), (10, "d")):
+        if relayed:
+            sim.relay_at(when, handle, tag, 10, callee)
+        else:
+            sim.call_at(when, handle, tag)
+        sim.call_at(when + 10, lambda t: log.append((sim.now, "plain", t)), tag)
+
+
+def test_relay_fires_the_same_events_in_the_same_order():
+    results = []
+    for relayed in (False, True):
+        sim = Simulator()
+        log = []
+        _relay_scenario(sim, relayed, log)
+        sim.run()
+        results.append(([entry for entry in log if entry[1] != "handle"],
+                        sim.events_fired, sim._seq, sim.now, sim.pending))
+    assert results[0] == results[1]
+    assert results[1][1] == 13  # 4 hops + 4 callees + 4 plain + 1 late
+
+
+def test_relay_never_calls_the_entry_point():
+    sim = Simulator()
+    log = []
+    _relay_scenario(sim, True, log)
+    sim.run()
+    assert [entry for entry in log if entry[1] == "handle"] == []
+
+
+def test_relay_with_zero_delay_calls_the_entry_point():
+    sim = Simulator()
+    seen = []
+    sim.relay_at(7, seen.append, "x", 0, None)
+    sim.run()
+    assert seen == ["x"] and sim.events_fired == 1
+
+
+def test_relay_at_in_the_past_rejected():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.relay_at(5, print, None, 1, print)
+
+
+def test_relay_survives_a_heappop_wrapper_that_swaps_the_callback(monkeypatch):
+    # An observer may replace ``event[2]`` on every pop (the way a
+    # layer-attributing benchmark tracer dispatches through a shim); the
+    # relay restores the callee from its own slot, never from ``event[2]``.
+    import repro.sim.kernel as kernel
+
+    real_pop = kernel.heappop
+
+    def swapping_pop(heap):
+        event = real_pop(heap)
+        fn = event[2]
+        if fn is not None:
+            event[2] = lambda *args, _fn=fn: _fn(*args)
+        return event
+
+    monkeypatch.setattr(kernel, "heappop", swapping_pop)
+    results = []
+    for relayed in (False, True):
+        sim = Simulator()
+        log = []
+        _relay_scenario(sim, relayed, log)
+        sim.run()
+        results.append(([entry for entry in log if entry[1] != "handle"],
+                        sim.events_fired))
+    assert results[0] == results[1]
+
+
+def test_bounded_run_relays_like_the_lean_loop():
+    reference = Simulator()
+    ref_log = []
+    _relay_scenario(reference, True, ref_log)
+    reference.run()
+    sim = Simulator()
+    log = []
+    _relay_scenario(sim, True, log)
+    for stop in (0, 5, 9, 10, 15, 19):
+        sim.run(until=stop)
+        assert sim.now == stop
+    sim.run()
+    assert (log, sim.events_fired, sim._seq) == (
+        ref_log, reference.events_fired, reference._seq)
+
+
+def test_profiler_hook_sees_each_relay_under_its_callee():
+    class Recorder:
+        def __init__(self):
+            self.calls = []
+
+        def record(self, fn, wall_ns):
+            self.calls.append(("event", fn))
+
+        def record_relay(self, callee):
+            self.calls.append(("relay", callee))
+
+    sim = Simulator()
+    log = []
+    _relay_scenario(sim, True, log)
+    sim.profiler = recorder = Recorder()
+    sim.run()
+    relays = [fn for kind, fn in recorder.calls if kind == "relay"]
+    assert len(relays) == 4
+    assert {fn.__name__ for fn in relays} == {"callee"}
+    assert len(recorder.calls) == sim.events_fired

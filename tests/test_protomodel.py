@@ -157,6 +157,60 @@ class TokenMemController:
 '''
 
 
+ALIASED_CONTROLLER_FIXTURE = '''\
+from repro.interconnect.message import MsgType
+
+_TOK_GETS = MsgType.TOK_GETS
+_TOK_GETX = MsgType.TOK_GETX
+_TOK_DATA = MsgType.TOK_DATA
+_TOK_ACK = MsgType.TOK_ACK
+_TOK_WB = MsgType.TOK_WB
+_TOK_WB_DATA = MsgType.TOK_WB_DATA
+_ACTIVATE = MsgType.PERSIST_ACTIVATE
+_DEACTIVATE = MsgType.PERSIST_DEACTIVATE
+_RECREATE_REQ = MsgType.TOK_RECREATE_REQ
+_RECREATE_ACK = MsgType.TOK_RECREATE_ACK
+_RECREATE_DATA = MsgType.TOK_RECREATE_DATA
+
+
+class TokenMemController:
+    """Hot-path copy: every arm tests a module alias."""
+
+    def _process(self, msg):
+        t = msg.mtype
+        if t in (_TOK_GETS, _TOK_GETX):
+            self._on_transient(msg)
+        elif t in (_TOK_DATA, _TOK_ACK, _TOK_WB, _TOK_WB_DATA):
+            self._on_tokens(msg)
+        elif t is _ACTIVATE:
+            self._on_activate(msg)
+        elif t is _DEACTIVATE:
+            self._on_deactivate(msg)
+        elif t is _RECREATE_REQ:
+            self._on_recreate_req(msg)
+        elif t in (_RECREATE_ACK, _RECREATE_DATA):
+            self._on_recreate_ack(msg)
+        else:
+            raise ValueError(msg)
+'''
+
+
+def test_fixture_controller_aliased_arms_resolve(tmp_path):
+    # Module-level ``NAME = MsgType.X`` aliases are resolved as arms, and
+    # each guard renders with the member spelled out, so an aliased hot
+    # ladder extracts the same transitions as the real one.
+    path = _fixture(tmp_path, ALIASED_CONTROLLER_FIXTURE)
+    findings, _ = run_passes(extra_files=[path], passes=[ProtocolModelPass()])
+    assert findings == []
+    real = extract_controllers(_real_files())["token/mem"]
+    aliased = extract_controllers(
+        load_tree(default_root(), extra_files=[path]))["token/mem"]
+    assert aliased.path == path.as_posix()
+    assert [(a.mtypes, a.guard) for a in aliased.arms] == [
+        (a.mtypes, a.guard) for a in real.arms]
+    assert aliased.arms[0].guard == "t in (MsgType.TOK_GETS, MsgType.TOK_GETX)"
+
+
 def _fixture(tmp_path, text, name="fixture_mod.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))

@@ -123,6 +123,67 @@ def test_dispatch_clean_when_all_arms_present(tmp_path):
     assert [f for f in findings if f.path == path.as_posix()] == []
 
 
+ALIASED_LADDER_FIXTURE = '''\
+from repro.interconnect.message import Message, MsgType
+
+_TOK_GETS = MsgType.TOK_GETS
+_TOK_GETX = MsgType.TOK_GETX
+_ACTIVATE = MsgType.PERSIST_ACTIVATE
+_DEACTIVATE = MsgType.PERSIST_DEACTIVATE
+_RECREATE_REQ = MsgType.TOK_RECREATE_REQ
+_RECREATE_ACK = MsgType.TOK_RECREATE_ACK
+_ACK_ALIAS = _RECREATE_ACK
+_TOKEN_CARRIERS = (_ACK_ALIAS, MsgType.TOK_DATA, MsgType.TOK_ACK, MsgType.TOK_WB)
+
+
+class TokenMemController:
+    def _process(self, msg):
+        t = msg.mtype
+        if t in (_TOK_GETS, _TOK_GETX):
+            self._on_transient(msg)
+        elif t in _TOKEN_CARRIERS or t == MsgType.TOK_WB_DATA:
+            self._on_tokens(msg)
+        elif t is _ACTIVATE:
+            self._on_activate(msg)
+        elif t is _DEACTIVATE:
+            self._on_deactivate(msg)
+        elif t is _RECREATE_REQ:
+            self._on_recreate_req(msg)
+        elif t is MsgType.TOK_RECREATE_DATA:
+            self._on_recreate_ack(msg)
+        else:
+            raise ValueError(t)
+'''
+
+
+def test_dispatch_resolves_module_mtype_aliases(tmp_path):
+    # ``NAME = MsgType.X`` aliases (and tuples of them) are ladder arms
+    # like the members they stand for: the complete ladder is clean ...
+    path = tmp_path / "aliased_ctrl.py"
+    path.write_text(ALIASED_LADDER_FIXTURE)
+    findings, _ = run_passes(extra_files=[path], passes=[DispatchPass()])
+    assert [f for f in findings if f.path == path.as_posix()] == []
+    # ... and dropping an aliased arm is still reported.
+    path.write_text(ALIASED_LADDER_FIXTURE.replace(
+        "        elif t is _DEACTIVATE:\n            self._on_deactivate(msg)\n", ""))
+    findings, _ = run_passes(extra_files=[path], passes=[DispatchPass()])
+    ours = [f for f in findings if f.path == path.as_posix()]
+    assert [f.rule for f in ours] == ["dispatch-unhandled"]
+    assert "PERSIST_DEACTIVATE" in ours[0].message
+
+
+def test_dispatch_alias_rebound_to_non_mtype_is_not_an_arm(tmp_path):
+    text = ALIASED_LADDER_FIXTURE.replace(
+        "_ACK_ALIAS = _RECREATE_ACK\n",
+        "_ACK_ALIAS = _RECREATE_ACK\n_DEACTIVATE = None\n")
+    path = tmp_path / "rebound_ctrl.py"
+    path.write_text(text)
+    findings, _ = run_passes(extra_files=[path], passes=[DispatchPass()])
+    ours = [f for f in findings if f.path == path.as_posix()]
+    assert [f.rule for f in ours] == ["dispatch-unhandled"]
+    assert "PERSIST_DEACTIVATE" in ours[0].message
+
+
 def test_dispatch_unknown_mtype(tmp_path):
     ours = _run_fixture(
         tmp_path,
