@@ -44,33 +44,37 @@ def run_cell(cell: Cell, tracer=None, profiler=None) -> CellResult:
         tracer.attach(machine.sim)
     if profiler is not None:
         profiler.attach(machine.sim)
-    sampler = None
-    if cell.telemetry is not None:
-        from repro.obs.telemetry import TelemetrySampler
+    try:
+        sampler = None
+        if cell.telemetry is not None:
+            from repro.obs.telemetry import TelemetrySampler
 
-        sampler = TelemetrySampler(cell.telemetry).attach(machine)
-    watchdog = monitor = None
-    if cell.watchdog_budget_ns is not None:
-        from repro.faults.watchdog import LivenessWatchdog
+            sampler = TelemetrySampler(cell.telemetry).attach(machine)
+        watchdog = monitor = None
+        if cell.watchdog_budget_ns is not None:
+            from repro.faults.watchdog import LivenessWatchdog
 
-        kwargs = {}
-        if cell.watchdog_check_every is not None:
-            kwargs["check_every_events"] = cell.watchdog_check_every
-        watchdog = LivenessWatchdog(
-            machine, budget_ns=cell.watchdog_budget_ns, **kwargs
-        )
-    if cell.invariant_check_every is not None:
-        from repro.faults.watchdog import InvariantMonitor
+            kwargs = {}
+            if cell.watchdog_check_every is not None:
+                kwargs["check_every_events"] = cell.watchdog_check_every
+            watchdog = LivenessWatchdog(
+                machine, budget_ns=cell.watchdog_budget_ns, **kwargs
+            )
+        if cell.invariant_check_every is not None:
+            from repro.faults.watchdog import InvariantMonitor
 
-        monitor = InvariantMonitor(machine, cell.invariant_check_every)
+            monitor = InvariantMonitor(machine, cell.invariant_check_every)
 
-    if callable(cell.workload):
-        workload = cell.workload(cell.params, cell.seed)
-    else:
-        workload = make_workload(
-            cell.workload, cell.params, seed=cell.seed, **cell.kwargs
-        )
-    run_result = machine.run(workload, max_events=cell.max_events)
+        if callable(cell.workload):
+            workload = cell.workload(cell.params, cell.seed)
+        else:
+            workload = make_workload(
+                cell.workload, cell.params, seed=cell.seed, **cell.kwargs
+            )
+        run_result = machine.run(workload, max_events=cell.max_events)
+    finally:
+        if profiler is not None:
+            profiler.detach()
     if cell.check_invariants and machine.cfg.family == "token":
         machine.check_token_invariants()  # quiescent re-check
     if watchdog is not None:

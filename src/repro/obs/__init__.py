@@ -24,8 +24,8 @@ interconnect, the coherence controllers and the experiment engine:
   experiment cells carry their metrics.
 
 * :mod:`repro.obs.profile` — a wall-clock kernel profiler (per-callback
-  time, fired-event histograms) built on the kernel's profiler and
-  watcher hooks.
+  time, fired-event histograms) that observes dispatch by swapping the
+  kernel's ``heappop`` and samples the rate on its watcher hook.
 
 * :mod:`repro.obs.telemetry` — time-series telemetry: a sampler on the
   kernel watcher hook snapshots link/controller/recovery gauges into

@@ -3,15 +3,17 @@
 :class:`KernelProfiler` attaches to a :class:`~repro.sim.kernel.Simulator`
 through two hooks:
 
-* the **profiler hook** (``sim.profiler``): the kernel times every event
-  callback with :func:`time.perf_counter_ns` and reports
-  ``record(fn, wall_ns)`` — aggregated here per *callback site*
-  (``module.qualname``), giving fired-event counts and wall-time totals
-  per handler.  A lookup hop the kernel relays (see
+* the **dispatch hook**: :meth:`KernelProfiler.attach` swaps
+  ``repro.sim.kernel.heappop`` for a pop that, for the attached
+  simulator's heap only, puts a timing trampoline in each live entry's
+  callback slot, so every event callback is timed with
+  :func:`time.perf_counter_ns` and aggregated per *callback site*
+  (``module.qualname``) — fired-event counts and wall-time totals per
+  handler.  A lookup hop the kernel relays (see
   :meth:`~repro.sim.kernel.Simulator.relay_at`) is an event with no
-  handler frame; it is reported via ``record_relay(callee)`` and counted,
-  with no wall time, under the site ``<callee site> [relay]``, so the
-  per-site counts still sum to the events fired;
+  handler frame; its record is counted, with no wall time, under the
+  site ``<callee site> [relay]``, so the per-site counts still sum to
+  the events fired.  :meth:`KernelProfiler.detach` restores the pop;
 * the **watcher hook** (:meth:`Simulator.add_watcher`): a periodic tick
   snapshots ``(simulated time, events fired, wall clock)`` so the report
   can show the simulation rate (events per wall-second, simulated ns per
@@ -28,6 +30,8 @@ from __future__ import annotations
 import sys
 import time
 from typing import Dict, List, Tuple
+
+from repro.sim import kernel
 
 
 def _site(fn) -> str:
@@ -46,23 +50,46 @@ class KernelProfiler:
         # (sim ps, fired, wall ns, allocated blocks, fresh event records)
         self._rates: List[Tuple[int, int, int, int, int]] = []
         self._sim = None
+        self._saved_pop = None  # the heappop attach() replaced
+        self._fn = None  # callback behind the trampoline being popped
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> "KernelProfiler":
-        """Register on ``sim``'s profiler and watcher hooks."""
-        sim.profiler = self
+        """Observe ``sim``'s dispatch (until :meth:`detach`) and rate."""
         self._sim = sim
         sim.add_watcher(self._rate_tick, self.rate_every_events)
         self._rate_tick()
+        self._saved_pop = inner = kernel.heappop
+        heap = sim._queue
+        count = self._count
+        timed = self._timed
+
+        def pop(queue):
+            event = inner(queue)
+            if queue is heap:
+                fn = event[2]
+                if fn is not None:
+                    if type(event) is list and event[4]:  # relayed hop
+                        count(f"{_site(event[5])} [relay]", 0)
+                    else:  # the kernel calls it right after this pop
+                        self._fn = fn
+                        event[2] = timed
+            return event
+
+        kernel.heappop = pop
         return self
 
-    def record(self, fn, wall_ns: int) -> None:
-        """Kernel callback: one event handler ran for ``wall_ns``."""
-        self._count(_site(fn), wall_ns)
+    def detach(self) -> None:
+        """Restore the kernel's ``heappop``; a no-op when not attached."""
+        if self._saved_pop is not None:
+            kernel.heappop = self._saved_pop
+            self._saved_pop = None
 
-    def record_relay(self, callee) -> None:
-        """Kernel callback: one lookup hop toward ``callee`` was relayed."""
-        self._count(f"{_site(callee)} [relay]", 0)
+    def _timed(self, *args) -> None:
+        fn = self._fn
+        start_ns = time.perf_counter_ns()
+        fn(*args)
+        self._count(_site(fn), time.perf_counter_ns() - start_ns)
 
     def _count(self, site: str, wall_ns: int) -> None:
         cell = self.sites.get(site)

@@ -5,16 +5,17 @@ The repo's figures are produced by millions of events flowing through
 a *perf trajectory* — canonical microbenchmarks whose results are written
 to ``BENCH_perf.json`` and checked by CI for regressions.
 
-Three layers are measured:
+Five benchmarks cover three layers (kernel, network, end-to-end):
 
-* ``kernel_chain``   — pure event-loop throughput: parallel self-
+* ``kernel_chain``      — pure event-loop throughput: parallel self-
   rescheduling callback chains, no cancellation, no watchers.
-* ``kernel_cancel``  — scheduling churn: every step schedules an extra
+* ``kernel_cancel``     — scheduling churn: every step schedules an extra
   event and cancels it (lazy-deletion path) under an active watcher.
-* ``network_send``   — ``Network.send`` throughput on the paper's 4x4
+* ``network_send``      — ``Network.send`` throughput on the paper's 4x4
   machine: route-cache lookups, integer link serialization, traffic
   metering and delivery scheduling.
-* ``e2e_fig6_smoke`` — one real experiment cell (TokenCMP-dst1 running
+* ``network_send_mesh`` — the same on an 8-CMP graph-routed mesh.
+* ``e2e_fig6_smoke``    — one real experiment cell (TokenCMP-dst1 running
   the scaled-down OLTP workload from the Figure 6 smoke test).
 
 Every benchmark reports wall-clock *timing* fields (``wall_s``,
@@ -60,14 +61,10 @@ def machine_fingerprint() -> Dict[str, str]:
         "impl": platform.python_implementation(),
     }
 
-# The fig6 smoke cell: must stay in lockstep with the determinism tests
-# so the metrics hash below is comparable across harness versions.  The
-# cell itself now lives in repro.exp.library.fig6_smoke_cell (shared with
-# the CI telemetry-smoke job); these constants remain its pinned identity.
-E2E_PROTOCOL = "TokenCMP-dst1"
-E2E_WORKLOAD = "oltp"
-E2E_REFS_PER_PROC = 120
-E2E_SEED = 1
+def _cell_label(cell) -> str:
+    """``protocol/workload[refs=N,seed=S]``: the pinned cell's identity."""
+    return (f"{cell.protocol_name}/{cell.workload_name}"
+            f"[refs={cell.kwargs['refs_per_proc']},seed={cell.seed}]")
 
 
 def _noop() -> None:
@@ -162,15 +159,14 @@ def bench_kernel_cancel(n_events: int = 120_000,
 # network microbenchmark
 # ----------------------------------------------------------------------
 
-def bench_network_send(n_sends: int = 50_000,
+def bench_network_send(params, n_sends: int,
                        repeats: int = 3) -> Dict[str, object]:
-    """``Network.send`` throughput on the paper's 4x4 machine.
+    """``Network.send`` throughput on the machine ``params`` describe.
 
     A fixed rotation of destinations (local L1s/L2 banks, remote chips,
     memory controllers) exercises intra, inter and memory routes; the
     endpoints are no-ops so only the interconnect layer is measured.
     """
-    from repro.common.params import SystemParams
     from repro.common.types import NodeId, NodeKind
     from repro.interconnect.message import Message, MsgType
     from repro.interconnect.network import Network
@@ -181,7 +177,6 @@ def bench_network_send(n_sends: int = 50_000,
     total_bytes = 0
     total_msgs = 0
     for _ in range(repeats):
-        params = SystemParams()
         sim = Simulator()
         meter = TrafficMeter()
         net = Network(sim, params, meter)
@@ -218,60 +213,6 @@ def _noop_handler(_msg) -> None:
     pass
 
 
-def bench_network_send_mesh(n_sends: int = 30_000,
-                            repeats: int = 3) -> Dict[str, object]:
-    """``Network.send`` throughput on an 8-CMP mesh (graph routing).
-
-    Same shape as :func:`bench_network_send` but on a multi-hop fabric
-    compiled by the declarative topology builder, so the regression gate
-    covers graph-routed construction + the route cache on long paths.
-    """
-    from repro.common.params import SystemParams
-    from repro.common.types import NodeId, NodeKind
-    from repro.interconnect.message import Message, MsgType
-    from repro.interconnect.network import Network
-    from repro.interconnect.topology import Topology
-    from repro.interconnect.traffic import TrafficMeter
-    from repro.sim.kernel import Simulator
-
-    best = None
-    total_bytes = 0
-    total_msgs = 0
-    for _ in range(repeats):
-        params = SystemParams(num_chips=8, procs_per_chip=2,
-                              tokens_per_block=64, topology=Topology.mesh())
-        sim = Simulator()
-        meter = TrafficMeter()
-        net = Network(sim, params, meter)
-        nodes = []
-        for chip in range(params.num_chips):
-            nodes += params.chip_l1s(chip) + params.chip_l2_banks(chip)
-        for chip in range(params.num_chips):
-            nodes.append(NodeId(NodeKind.MEM, chip))
-        for node in nodes:
-            net.register(node, _noop_handler)
-        src = nodes[0]
-        n_nodes = len(nodes)
-        msgs = [
-            Message(MsgType.TOK_DATA, src, nodes[i % n_nodes], addr=i * 64)
-            for i in range(n_sends)
-        ]
-        t0 = perf_counter()
-        for msg in msgs:
-            net.send(msg)
-        dt = perf_counter() - t0
-        total_bytes = sum(meter.bytes.values())
-        total_msgs = sum(meter.messages.values())
-        best = dt if best is None or dt < best else best
-    return {
-        "sends": n_sends,
-        "link_messages": total_msgs,
-        "link_bytes": total_bytes,
-        "wall_s": best,
-        "sends_per_sec": n_sends / best,
-    }
-
-
 # ----------------------------------------------------------------------
 # end-to-end benchmark
 # ----------------------------------------------------------------------
@@ -301,8 +242,7 @@ def bench_e2e_fig6_smoke(repeats: int = 3) -> Dict[str, object]:
         digest = hashlib.sha256(blob.encode()).hexdigest()
         best = dt if best is None or dt < best else best
     return {
-        "cell": f"{E2E_PROTOCOL}/{E2E_WORKLOAD}"
-                f"[refs={E2E_REFS_PER_PROC},seed={E2E_SEED}]",
+        "cell": _cell_label(cell),
         "events": events,
         "runtime_ps": runtime_ps,
         "metrics_sha256": digest,
@@ -406,8 +346,7 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
             gc.enable()
         gc.collect()
     return {
-        "cell": f"{E2E_PROTOCOL}/{E2E_WORKLOAD}"
-                f"[refs={E2E_REFS_PER_PROC},seed={E2E_SEED}]",
+        "cell": _cell_label(cell),
         "warmup_events": warmup_events,
         "window_events": window_events,
         "windows": windows,
@@ -512,6 +451,8 @@ def compare_alloc(current: Dict[str, object],
 def run_suite(quick: bool = False,
               progress=None) -> Dict[str, object]:
     """Run every benchmark; ``quick`` shrinks sizes for CI smoke runs."""
+    from repro.common.params import SystemParams
+    from repro.interconnect.topology import Topology
 
     def note(msg: str) -> None:
         if progress is not None:
@@ -526,9 +467,11 @@ def run_suite(quick: bool = False,
         n_events=30_000 if quick else 120_000, repeats=repeats)
     note("network_send ...")
     send = bench_network_send(
-        n_sends=20_000 if quick else 50_000, repeats=repeats)
+        SystemParams(), n_sends=20_000 if quick else 50_000, repeats=repeats)
     note("network_send_mesh ...")
-    send_mesh = bench_network_send_mesh(
+    send_mesh = bench_network_send(
+        SystemParams(num_chips=8, procs_per_chip=2, tokens_per_block=64,
+                     topology=Topology.mesh()),
         n_sends=10_000 if quick else 30_000, repeats=repeats)
     note("e2e_fig6_smoke ...")
     e2e = bench_e2e_fig6_smoke(repeats=1 if quick else 3)

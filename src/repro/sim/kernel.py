@@ -46,30 +46,25 @@ cost is kept to a handful of C-level operations:
   kernel keeps the next due cumulative event count per watcher and a
   single ``_watch_next`` minimum; the inner loop does one integer
   compare per event.
-* **Profiler/tracer checks are hoisted.**  The profiler is read once per
-  :meth:`Simulator.run` call (attach observers before running), and the
-  bounds (``until`` / ``max_events``) collapse to integer compares
-  against sentinels.
+* **One run loop; the bounds are sentinels.**  ``max_events``
+  bounds the events fired by *this* :meth:`Simulator.run` call and is
+  one integer compare against a sentinel.  ``until`` is a blank
+  ``[until, inf, None, None, 0, None]`` heap entry: it orders after
+  every event at ``until`` and surfaces through the cancelled-entry
+  branch, the only place that checks for it.  A run that ends any other
+  way takes it back out of the heap.
 
-Observability hooks (both ``None`` by default, and free when unset):
-
-* ``sim.tracer`` — a :class:`repro.obs.trace.Tracer`; instrumented
-  components all over the machine read this attribute at event time and
-  emit structured trace events only when it is set.
-* ``sim.profiler`` — a :class:`repro.obs.profile.KernelProfiler`; when
-  set, the run loop times every callback with ``perf_counter_ns`` and
-  reports it via ``profiler.record(fn, wall_ns)`` (a relay, which runs
-  no callback, via ``profiler.record_relay(callee)``).  Attach it before
-  calling :meth:`Simulator.run` — the run loop samples the hook once at
-  entry.
+``sim.tracer`` (``None`` by default) is the one observability hook: a
+:class:`repro.obs.trace.Tracer` that instrumented components all over
+the machine read at event time, emitting structured trace events only
+when it is set.  The kernel profiler (:class:`repro.obs.profile.
+KernelProfiler`) observes dispatch from outside the kernel by swapping
+this module's ``heappop``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-# Sanctioned impurity: the opt-in profiler measures host time; it never
-# feeds simulated state.  See docs/static-analysis.md.
-from time import perf_counter_ns  # staticcheck: ignore[purity-import]
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.common.errors import DeadlockError
@@ -132,7 +127,7 @@ class Simulator:
 
     __slots__ = (
         "_queue", "_now", "_seq", "_pending", "events_fired",
-        "_watchers", "_watch_next", "tracer", "profiler",
+        "_watchers", "_watch_next", "tracer",
         "_free_events", "event_news",
     )
 
@@ -145,7 +140,6 @@ class Simulator:
         self._watchers: list = []  # [every_events, fn, next_due] records
         self._watch_next = _NEVER  # min next_due over watchers
         self.tracer = None  # repro.obs.trace.Tracer (attach() sets this)
-        self.profiler = None  # repro.obs.profile.KernelProfiler
         # Freelist of recycled no-handle event records (call_after /
         # call_at).  ``event_news`` counts fresh record allocations — the
         # alloc benchmarks read it; in steady state it stops growing.
@@ -318,8 +312,9 @@ class Simulator:
     ) -> int:
         """Fire events until the queue drains (or a bound is hit).
 
-        ``until`` stops the clock at an absolute picosecond time;
-        ``max_events`` bounds total events (a runaway-protocol backstop).
+        ``until`` stops the clock at an absolute picosecond time (events
+        at ``until`` still fire); ``max_events`` bounds the events this
+        call fires (a runaway-protocol backstop).
         With ``expect_drain`` the caller asserts the workload should finish
         by itself; hitting ``max_events`` then raises :class:`DeadlockError`.
         Returns the final simulated time.
@@ -343,112 +338,60 @@ class Simulator:
         max_events: Optional[int],
         expect_drain: bool,
     ) -> int:
-        # Inner loop: everything variable is hoisted into locals, bounds
-        # become integer compares against +inf sentinels, and the only
-        # per-event costs beyond the heap pop are the blank-slot check
-        # (lazy cancellation) and the watcher threshold compare.
+        # Inner loop: everything variable is hoisted into locals, and the
+        # only per-event costs beyond the heap pop are the blank-slot
+        # check (lazy cancellation; it also finds the ``until`` stop
+        # entry), the watcher threshold compare and the ``max_events``
+        # compare against a +inf sentinel.
         #
         # ``events_fired`` is tracked in a local (``total``) and written
         # back before watchers fire and in the ``finally`` — watchers are
         # the only mid-run readers.  ``_pending`` stays live per event:
         # callbacks legitimately poll ``sim.pending``.
-        #
-        # The common case — no clock bound, no profiler: every untraced
-        # workload run — gets its own lean loop with no per-event peek
-        # and no profiler check; everything else takes the generic loop.
         queue = self._queue
         pop = heappop
         push = heappush
-        profiler = self.profiler
         total = self.events_fired
         end = total + (_NEVER if max_events is None else max_events)
-        free_events = self._free_events
-        recycle = free_events.append
+        recycle = self._free_events.append
+        stop = None
+        if until is not None:
+            stop = [until, _NEVER, None, None, 0, None]
+            push(queue, stop)
         try:
-            if until is None and profiler is None:
-                while queue:
-                    event = pop(queue)
-                    fn = event[2]
-                    if fn is None:
-                        continue  # cancelled: uncounted by Event.cancel
-                    if type(event) is list:  # recyclable no-handle entry
-                        relay = event[4]
-                        if relay:
-                            # Relayed lookup hop: the entry point's
-                            # call_after, done in place (module docstring).
-                            self._now = now = event[0]
-                            event[0] = now + relay
-                            self._seq = event[1] = self._seq + 1
-                            event[2] = event[5]
-                            event[4] = 0
-                            push(queue, event)
-                        else:
-                            self._pending -= 1
-                            self._now = event[0]
-                            fn(event[3])
-                            event[2] = None
-                            event[3] = None  # drop the arg reference promptly
-                            recycle(event)
+            while queue:
+                event = pop(queue)
+                fn = event[2]
+                if fn is None:
+                    if event is stop:
+                        stop = None
+                        if queue:  # events remain past ``until``
+                            self._now = until
+                        return self._now
+                    continue  # cancelled: uncounted by Event.cancel
+                if type(event) is list:  # recyclable no-handle entry
+                    relay = event[4]
+                    if relay:
+                        # Relayed lookup hop: the entry point's
+                        # call_after, done in place (module docstring).
+                        self._now = now = event[0]
+                        event[0] = now + relay
+                        self._seq = event[1] = self._seq + 1
+                        event[2] = event[5]
+                        event[4] = 0
+                        push(queue, event)
                     else:
                         self._pending -= 1
                         self._now = event[0]
-                        event[2] = None  # mark fired: late cancel() no-ops
-                        fn(*event[3])
-                    total += 1
-                    if total >= self._watch_next:
-                        self.events_fired = total
-                        self._fire_due_watchers()
-                    if total >= end:
-                        if expect_drain:
-                            raise DeadlockError(
-                                f"simulation did not finish within "
-                                f"{max_events} events (t={self._now} ps); "
-                                f"likely protocol livelock"
-                            )
-                        return self._now
-                return self._now
-            bound = _NEVER if until is None else until
-            while queue:
-                event = queue[0]
-                when = event[0]
-                if when > bound:
-                    self._now = until
-                    return until
-                pop(queue)
-                fn = event[2]
-                if fn is None:
-                    continue  # cancelled: already uncounted by Event.cancel
-                self._now = when
-                if type(event) is list:  # recyclable no-handle entry
-                    relay = event[4]
-                    if relay:  # relayed lookup hop, as in the lean loop
-                        event[0] = when + relay
-                        self._seq = event[1] = self._seq + 1
-                        event[2] = callee = event[5]
-                        event[4] = 0
-                        push(queue, event)
-                        if profiler is not None:
-                            profiler.record_relay(callee)
-                    else:
-                        self._pending -= 1
-                        if profiler is None:
-                            fn(event[3])
-                        else:
-                            start_ns = perf_counter_ns()
-                            fn(event[3])
-                            profiler.record(fn, perf_counter_ns() - start_ns)
+                        fn(event[3])
                         event[2] = None
-                        event[3] = None
+                        event[3] = None  # drop the arg reference promptly
                         recycle(event)
                 else:
                     self._pending -= 1
-                    event[2] = None  # mark fired so a late cancel() no-ops
-                    if profiler is None:
-                        fn(*event[3])
-                    else:
-                        start_ns = perf_counter_ns()
-                        fn(*event[3])
-                        profiler.record(fn, perf_counter_ns() - start_ns)
+                    self._now = event[0]
+                    event[2] = None  # mark fired: late cancel() no-ops
+                    fn(*event[3])
                 total += 1
                 if total >= self._watch_next:
                     self.events_fired = total
@@ -456,11 +399,14 @@ class Simulator:
                 if total >= end:
                     if expect_drain:
                         raise DeadlockError(
-                            f"simulation did not finish within {max_events} "
-                            f"events (t={self._now} ps); likely protocol "
-                            f"livelock"
+                            f"simulation did not finish within "
+                            f"{max_events} events (t={self._now} ps); "
+                            f"likely protocol livelock"
                         )
                     return self._now
             return self._now
         finally:
             self.events_fired = total
+            if stop is not None:  # ended before reaching ``until``
+                queue.remove(stop)
+                heapify(queue)

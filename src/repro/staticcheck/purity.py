@@ -7,8 +7,8 @@ wall-clock timestamp, the global RNG, a background thread racing the
 event loop.  The determinism pass catches specific *uses*; this pass
 draws the coarser line at the import, which is also the cheapest place
 to review an exception — a reviewed ``# staticcheck: ignore[purity-import]``
-marks the one sanctioned case (the kernel's opt-in profiler reading
-``perf_counter_ns``).
+marks the one sanctioned case (``interconnect/message.py`` reading the
+``REPRO_POOLING`` kill-switch with ``os``).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class PurityPass(Pass):
     }
     rule_examples = {
         "purity-import": (
-            "repro/sim/kernel.py:58: error[purity-import] simulation "
-            "package imports 'time' (ambient process state)"
+            "repro/core/l1.py:12: error[purity-import] simulation "
+            "package imports 'random' (ambient process state)"
         ),
     }
 

@@ -358,22 +358,98 @@ def test_bounded_run_relays_like_the_lean_loop():
 
 
 def test_profiler_hook_sees_each_relay_under_its_callee():
-    class Recorder:
-        def __init__(self):
-            self.calls = []
-
-        def record(self, fn, wall_ns):
-            self.calls.append(("event", fn))
-
-        def record_relay(self, callee):
-            self.calls.append(("relay", callee))
+    from repro.obs.profile import KernelProfiler
 
     sim = Simulator()
     log = []
     _relay_scenario(sim, True, log)
-    sim.profiler = recorder = Recorder()
+    profiler = KernelProfiler().attach(sim)
+    try:
+        sim.run()
+    finally:
+        profiler.detach()
+    relays = {site: cell[0] for site, cell in profiler.sites.items()
+              if site.endswith(" [relay]")}
+    assert list(relays.values()) == [4]
+    assert next(iter(relays)).endswith(".callee [relay]")
+    assert profiler.events_profiled == sim.events_fired
+
+
+# ---------------------------------------------------------------------------
+# The ``until`` sentinel: a blank heap entry that ends a bounded run.
+# ---------------------------------------------------------------------------
+def test_until_past_a_drained_queue_keeps_the_last_event_time():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    assert sim.run(until=100) == 10
+    assert (sim.now, sim.pending, sim._queue) == (10, 0, [])
+
+
+def test_until_with_only_cancelled_entries_past_it_stops_the_clock():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    late = sim.schedule(200, lambda: None)
+    late.cancel()
+    assert sim.run(until=100) == 100
+    assert (sim.now, sim.pending, sim.events_fired) == (100, 0, 1)
+    assert len(sim._queue) == 1 and sim._queue[0] is late
+
+
+def _relay_twins(extra=lambda sim: None):
+    """Two identical relay scenarios: one to bound, one as the reference."""
+    twins = []
+    for _ in range(2):
+        sim = Simulator()
+        log = []
+        _relay_scenario(sim, True, log)
+        extra(sim)
+        twins.append((sim, log))
+    return twins
+
+
+def _assert_twins_agree(bounded, reference):
+    (sim, log), (ref, ref_log) = bounded, reference
+    assert (len(sim._queue), sim.pending, sim.now, sim.events_fired) == (
+        len(ref._queue), ref.pending, ref.now, ref.events_fired)
     sim.run()
-    relays = [fn for kind, fn in recorder.calls if kind == "relay"]
-    assert len(relays) == 4
-    assert {fn.__name__ for fn in relays} == {"callee"}
-    assert len(recorder.calls) == sim.events_fired
+    ref.run()
+    assert (log, sim.events_fired, sim._seq, sim.now, len(sim._queue)) == (
+        ref_log, ref.events_fired, ref._seq, ref.now, len(ref._queue))
+
+
+@pytest.mark.parametrize("expect_drain", [False, True])
+def test_until_with_a_max_events_that_stops_first_matches_an_unbounded_run(
+        expect_drain):
+    bounded, reference = _relay_twins()
+    reference[0].run(max_events=5)
+    if expect_drain:
+        with pytest.raises(DeadlockError):
+            bounded[0].run(until=100, max_events=5, expect_drain=True)
+    else:
+        assert bounded[0].run(until=100, max_events=5) == reference[0].now
+    _assert_twins_agree(bounded, reference)
+
+
+def test_until_with_a_raising_callback_matches_an_unbounded_run():
+    def add_boom(sim):
+        def boom(_arg):
+            raise RuntimeError("boom")
+
+        sim.call_at(12, boom, None)
+
+    bounded, reference = _relay_twins(add_boom)
+    with pytest.raises(RuntimeError):
+        reference[0].run()
+    with pytest.raises(RuntimeError):
+        bounded[0].run(until=100)
+    _assert_twins_agree(bounded, reference)
+
+
+def test_pending_read_during_a_bounded_run_never_counts_the_bound():
+    sim = Simulator()
+    seen = []
+    for delay in (10, 20, 30):
+        sim.schedule(delay, lambda: seen.append(sim.pending))
+    sim.run(until=25)
+    assert seen == [2, 1]
+    assert sim.pending == 1

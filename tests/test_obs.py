@@ -253,6 +253,36 @@ def test_profiler_does_not_change_results(traced_run):
     assert profiled.to_json() == plain.to_json()
 
 
+def test_profiler_detaches_when_the_cell_deadlocks():
+    import dataclasses
+    import heapq
+
+    from repro.common.errors import DeadlockError
+    from repro.sim import kernel
+
+    cell = dataclasses.replace(_locking_cell(), max_events=50)
+    with pytest.raises(DeadlockError):
+        run_cell(cell, profiler=KernelProfiler())
+    assert kernel.heappop is heapq.heappop
+
+
+def test_profiler_ignores_pops_from_another_simulator():
+    from repro.sim.kernel import Simulator
+
+    watched, other = Simulator(), Simulator()
+    for sim in (watched, other):
+        for delay in (1, 2, 3):
+            sim.schedule(delay, lambda: None)
+    profiler = KernelProfiler().attach(watched)
+    try:
+        other.run()
+        assert profiler.events_profiled == 0
+        watched.run()
+    finally:
+        profiler.detach()
+    assert profiler.events_profiled == watched.events_fired == 3
+
+
 # ---------------------------------------------------------------------------
 # Metrics documents.
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_profiler_counts_every_relayed_event():
 
 
 def test_run_split_by_until_matches_one_run(monkeypatch):
-    # The bounded (generic) run loop relays exactly like the lean one.
+    # A run split at ``until`` stops relays exactly like one run.
     plain = run_cell(_small_cell())
     run = Simulator.run
     stops = (400_000, 2_000_000, 2_000_001, 5_000_000)
