@@ -13,7 +13,8 @@ through two hooks:
   :meth:`~repro.sim.kernel.Simulator.relay_at`) is an event with no
   handler frame; its record is counted, with no wall time, under the
   site ``<callee site> [relay]``, so the per-site counts still sum to
-  the events fired.  :meth:`KernelProfiler.detach` restores the pop;
+  the events fired.  :meth:`KernelProfiler.detach` restores the pop
+  (and removes the rate watcher below);
 * the **watcher hook** (:meth:`Simulator.add_watcher`): a periodic tick
   snapshots ``(simulated time, events fired, wall clock)`` so the report
   can show the simulation rate (events per wall-second, simulated ns per
@@ -80,10 +81,12 @@ class KernelProfiler:
         return self
 
     def detach(self) -> None:
-        """Restore the kernel's ``heappop``; a no-op when not attached."""
+        """Restore the kernel's ``heappop`` and remove the rate watcher;
+        a no-op when not attached."""
         if self._saved_pop is not None:
             kernel.heappop = self._saved_pop
             self._saved_pop = None
+            self._sim.remove_watcher(self._rate_tick)
 
     def _timed(self, *args) -> None:
         fn = self._fn

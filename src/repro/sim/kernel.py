@@ -180,6 +180,22 @@ class Simulator:
                 record[1]()
         self._watch_next = min(record[2] for record in self._watchers)
 
+    def remove_watcher(self, fn: Callable[[], None]) -> None:
+        """Stop calling ``fn`` (registered by :meth:`add_watcher`).
+
+        Drops the first record whose callback equals ``fn`` (a bound
+        method compares equal to a fresh one of the same object); raises
+        :class:`ValueError` when ``fn`` is not registered.  Like
+        :meth:`add_watcher`, call it between runs.
+        """
+        watchers = self._watchers
+        for pos, record in enumerate(watchers):
+            if record[1] == fn:
+                del watchers[pos]
+                self._watch_next = min((r[2] for r in watchers), default=_NEVER)
+                return
+        raise ValueError(f"not a registered watcher: {fn!r}")
+
     @property
     def now(self) -> int:
         """Current simulated time in picoseconds."""
@@ -317,8 +333,13 @@ class Simulator:
         call fires (a runaway-protocol backstop).
         With ``expect_drain`` the caller asserts the workload should finish
         by itself; hitting ``max_events`` then raises :class:`DeadlockError`.
-        Returns the final simulated time.
+        An ``until`` before the current time raises :class:`ValueError`
+        (the clock never runs backwards).  Returns the final simulated time.
         """
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run until the past (until={until} < now={self._now})"
+            )
         tracer = self.tracer
         if tracer is not None:
             tracer.emit("sim.run.begin", pending=self._pending)

@@ -23,6 +23,7 @@ Models are pure-Python objects over hashable states; see
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -112,19 +113,35 @@ def check(
     Each canonical state is hashed once, when it is first seen, and
     interned as a dense int id; everything else (BFS frontier, parent
     chain, depth, successor lists, quiescence) is kept in id-indexed
-    lists.
+    lists.  A model that keeps the inherited identity
+    :meth:`Model.canonicalize` is not called for it.  The cyclic garbage
+    collector is off for the run: states, the id store and the successor
+    lists are acyclic, so its passes over them would find nothing.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _check(model, max_states, check_liveness)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> CheckResult:
     start = time.perf_counter()
     canonicalize = model.canonicalize
+    if getattr(canonicalize, "__func__", None) is Model.canonicalize:
+        canonicalize = None  # the identity: no reduction to apply
     index: Dict[State, int] = {}
     states: List[State] = []  # id -> state; doubles as the BFS queue
     parent: List[int] = []  # id -> predecessor id (-1 for initial states)
     label: List[Optional[str]] = []  # id -> label of the discovering edge
     depth: List[int] = []
-    successors: List[List[int]] = []
+    successors: List[Tuple[int, ...]] = []
     quiescent = bytearray()
     for s in model.initial_states():
-        s = canonicalize(s)
+        if canonicalize is not None:
+            s = canonicalize(s)
         if s not in index:
             index[s] = len(states)
             states.append(s)
@@ -154,7 +171,8 @@ def check(
             )
         next_ids = []
         for lbl, nxt in succs:
-            nxt = canonicalize(nxt)
+            if canonicalize is not None:
+                nxt = canonicalize(nxt)
             nid = index.get(nxt)
             if nid is None:
                 nid = index[nxt] = len(states)
@@ -168,7 +186,7 @@ def check(
                     )
             next_ids.append(nid)
         if check_liveness:
-            successors.append(next_ids)
+            successors.append(tuple(next_ids))  # smaller than the list, kept to the end
         sid += 1
 
     if check_liveness:

@@ -312,7 +312,7 @@ class TokenSafetyModel(_TokenBase):
         """Processors are fully symmetric in the safety model: fold each
         state onto the lexicographically smallest processor relabeling
         (the paper's symmetry-reduction technique)."""
-        return min((_permute_core(state, perm) for perm in _permutations(self.n)), key=_state_repr)
+        return _canonical(state, _relabel_core, (2, 3))
 
 
 class TokenDstModel(_TokenBase):
@@ -663,29 +663,21 @@ class TokenArbModel(_TokenBase):
         """The arbiter treats processors uniformly (FIFO, no priorities),
         so processor relabeling is a sound symmetry reduction here —
         unlike the dst model, whose fixed priorities break it."""
-        return min(
-            (self._permute(state, perm) for perm in _permutations(self.n)),
-            key=_state_repr,
-        )
+        return _canonical(state, self._relabel, (2, 3, 4, 5, 6, 7))
 
-    def _permute(self, state, perm):
-        caches, mem, net, wants, site_act, arb, chan, pr = _permute_core(state, perm)
-        queue, active = arb
-        nqueue = tuple((perm[p], r) for p, r in queue)
-        nactive = (perm[active[0]], active[1]) if active is not None else None
-        nsa = [None] * (self.n + 1)
-        for old in range(self.n):
-            entry = site_act[old]
-            nsa[perm[old]] = (perm[entry[0]], entry[1]) if entry is not None else None
-        mem_entry = site_act[self.n]
-        nsa[self.n] = (perm[mem_entry[0]], mem_entry[1]) if mem_entry is not None else None
-        nchan = [None] * self.n
-        npr = [None] * self.n
-        for old in range(self.n):
-            nchan[perm[old]] = chan[old]
-            npr[perm[old]] = pr[old]
-        return (caches, mem, net, wants, tuple(nsa), (nqueue, nactive),
-                tuple(nchan), tuple(npr))
+    def _relabel(self, state, perm, slot):
+        """Slot ``slot`` of ``state`` with processor ``i`` renamed ``perm[i]``."""
+        if slot < 4:
+            return _relabel_core(state, perm, slot)
+        value = state[slot]
+        if slot == 4:  # site_act: per site, naming the active processor
+            nsa = _relabel_procs(value[:self.n], perm) + value[self.n:]
+            return tuple(None if e is None else (perm[e[0]], e[1]) for e in nsa)
+        if slot == 5:  # arb: (queue, active)
+            queue, active = value
+            return (tuple((perm[p], r) for p, r in queue),
+                    None if active is None else (perm[active[0]], active[1]))
+        return _relabel_procs(value, perm)  # chan, pr
 
 
 class TokenRecreateModel(_TokenBase):
@@ -1012,11 +1004,6 @@ def _set_entry(table: Tuple, proc: int, entry) -> Tuple:
 # ---------------------------------------------------------------------------
 # Symmetry reduction helpers (processor permutations).
 # ---------------------------------------------------------------------------
-@functools.lru_cache(maxsize=None)
-def _permutations(n: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(n)))
-
-
 def _permute_msg(msg, perm):
     if msg[0] == "tok":
         _k, dst, tokens, owner, value = msg
@@ -1026,13 +1013,93 @@ def _permute_msg(msg, perm):
     return msg
 
 
-def _permute_core(state, perm):
-    """Relabel processors of a (caches, mem, net, wants) state."""
-    caches, mem, net, wants = state[:4]
-    ncaches = [None] * len(caches)
-    nwants = [None] * len(wants)
+def _relabel_procs(entries: Tuple, perm) -> Tuple:
+    """Per-processor ``entries`` with entry ``i`` moved to ``perm[i]``."""
+    out = [None] * len(entries)
     for old, new in enumerate(perm):
-        ncaches[new] = caches[old]
-        nwants[new] = wants[old]
-    nnet = tuple(sorted((_permute_msg(m, perm) for m in net), key=_repr))
-    return (tuple(ncaches), mem, nnet, tuple(nwants)) + tuple(state[4:])
+        out[new] = entries[old]
+    return tuple(out)
+
+
+def _relabel_core(state, perm, slot):
+    """Slot ``slot`` of ``state`` (``net``, or a per-processor tuple such
+    as ``wants``) with processor ``i`` renamed ``perm[i]``."""
+    if slot == 2:
+        return tuple(sorted([_permute_msg(m, perm) for m in state[2]], key=_repr))
+    return _relabel_procs(state[slot], perm)
+
+
+def _relabeled(state, perm, relabel, slots):
+    """``state`` with processor ``i`` renamed ``perm[i]``: ``caches`` and
+    each slot in ``slots`` go through ``relabel(state, perm, slot)``."""
+    out = list(state)
+    out[0] = _relabel_procs(state[0], perm)
+    for slot in slots:
+        out[slot] = relabel(state, perm, slot)
+    return tuple(out)
+
+
+class _Candidates(dict):
+    """``caches`` -> the processor relabelings that sort it by cache repr,
+    each a ``perm`` list or ``None`` for the identity.  The stable sort
+    comes first, so the identity, when it is one of them, leads.  Keyed
+    by value, so like :class:`_ReprMemo` it relies on equal caches
+    printing the same."""
+
+    def __missing__(self, caches):
+        keys = [repr(c) for c in caches]
+        n = len(keys)
+        order = sorted(range(n), key=keys.__getitem__)
+        groups = [list(g) for _k, g in itertools.groupby(order, key=keys.__getitem__)]
+        perms = []
+        for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+            perm = [0] * n
+            for new, old in enumerate(itertools.chain.from_iterable(parts)):
+                perm[old] = new
+            perms.append(None if perm == list(range(n)) else perm)
+        self[caches] = perms
+        return perms
+
+
+_CANDIDATES = _Candidates()
+
+
+def _canonical(state, relabel, slots):
+    """The symmetry-reduction representative of ``state``, found without
+    building every relabeling: ``min((_relabeled(state, p, relabel, slots)
+    for p in itertools.permutations(range(n))), key=_state_repr)``.
+
+    ``slots`` lists, in order, the slots after ``caches`` that a
+    relabeling can change; ``relabel(state, perm, slot)`` builds one, and
+    gives ``state[slot]`` back for the identity (``net`` is kept sorted).
+
+    ``caches`` is the first slot of ``_state_repr`` a relabeling changes,
+    and every relabeling's ``caches`` repr has the same length (the same
+    cache reprs, reordered).  So the minimum sorts the caches by repr; as
+    one 4-tuple repr is never a proper prefix of another, that is the
+    order of the joined string.  Pairwise-distinct caches fix the winner:
+    ``state`` itself when they are sorted already, otherwise the one
+    relabeling that sorts them.  Equal caches leave every relabeling that
+    sorts them; the next slot in ``slots`` decides between those, built
+    for each alone, then the next.  A slot decides only while its
+    candidates' reprs have equal lengths, so that the first differing
+    character lies inside it; otherwise the remaining candidates are
+    compared whole.  Candidates that tie on every slot print the same, so
+    the first is taken: ``state`` itself whenever it is among them.
+    """
+    perms = _CANDIDATES[state[0]]
+    if len(perms) > 1:
+        memos = _SLOT_REPRS[len(state)]
+        for slot in slots:
+            memo = memos[slot]
+            reprs = [memo[state[slot] if perm is None else relabel(state, perm, slot)]
+                     for perm in perms]
+            if len({len(r) for r in reprs}) > 1:
+                return min((state if perm is None else _relabeled(state, perm, relabel, slots)
+                            for perm in perms), key=_state_repr)
+            best = min(reprs)
+            perms = [perm for perm, r in zip(perms, reprs) if r == best]
+            if len(perms) == 1:
+                break
+    perm = perms[0]
+    return state if perm is None else _relabeled(state, perm, relabel, slots)

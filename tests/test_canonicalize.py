@@ -32,6 +32,10 @@ from repro.verification.token_model import (
     TokenDstModel,
     TokenRecreateModel,
     TokenSafetyModel,
+    _canonical,
+    _relabel_core,
+    _relabeled,
+    _state_repr,
 )
 
 
@@ -155,6 +159,147 @@ def test_toy_canonicalize_is_idempotent_and_orbit_stable():
     for perm in itertools.permutations(range(model.n)):
         permuted = tuple(state[p] for p in perm)
         assert model.canonicalize(permuted) == canon
+
+
+# ---------------------------------------------------------------------------
+# The real models' canonicalizer against its definition.
+# ---------------------------------------------------------------------------
+def _brute_force(state, relabel, slots):
+    """The canonical form by definition: the relabeling that prints least."""
+    perms = itertools.permutations(range(len(state[0])))
+    return min((_relabeled(state, perm, relabel, slots) for perm in perms),
+               key=_state_repr)
+
+
+def _safety_oracle(model, state):
+    return _brute_force(state, _relabel_core, (2, 3))
+
+
+def _arb_oracle(model, state):
+    return _brute_force(state, model._relabel, (2, 3, 4, 5, 6, 7))
+
+
+def _reached(model, limit=None):
+    """Every state the checker hands to ``canonicalize`` while exploring
+    the first ``limit`` canonical states (all of them by default): the
+    initial states and their successors, in BFS order, each once."""
+    seen, known, order, sid = set(), set(), [], 0
+    batch = list(model.initial_states())
+    while True:
+        for state in batch:
+            if state not in seen:
+                seen.add(state)
+                yield state
+            canon = model.canonicalize(state)
+            if canon not in known:
+                known.add(canon)
+                order.append(canon)
+        if sid == len(order) or sid == limit:
+            return
+        batch = [nxt for _label, nxt in model.transitions(order[sid])]
+        sid += 1
+
+
+def _assert_matches_oracle(model, oracle, states):
+    count = 0
+    for state in states:
+        fast, slow = model.canonicalize(state), oracle(model, state)
+        assert fast == slow and repr(fast) == repr(slow), state
+        count += 1
+    return count
+
+
+def _three_caches():
+    return TokenSafetyModel(n_caches=3, total_tokens=4)
+
+
+@pytest.mark.parametrize("make_model, oracle, limit", [
+    (TokenSafetyModel, _safety_oracle, None),
+    (_three_caches, _safety_oracle, 5_000),
+    pytest.param(_three_caches, _safety_oracle, None, marks=pytest.mark.tier2),
+    (lambda: TokenArbModel(coarse_sends=True, atomic_broadcasts=True),
+     _arb_oracle, 20_000),
+], ids=["safety", "safety-3-caches-first-5k", "safety-3-caches", "arb-first-20k"])
+def test_canonicalize_matches_the_brute_force_minimum(make_model, oracle, limit):
+    """Every state a check reaches (``limit`` bounds the canonical states
+    explored) against the brute-force minimum; the full three-cache run
+    takes about 20 s."""
+    model = make_model()
+    assert _assert_matches_oracle(model, oracle, _reached(model, limit)) > 1000
+
+
+_IDLE = (0, False, False, 0)
+
+
+@pytest.mark.parametrize("net, wants", [
+    ((), ("w", None)),
+    ((), (None, "w")),
+    ((), ("r", "w")),
+    ((), ("r", "r")),
+    ((("tok", 0, 3, True, 0),), (None, None)),
+    ((("tok", 1, 3, True, 0),), ("r", None)),
+    ((("tok", 0, 1, False, None), ("tok", 1, 2, True, 1)), ("w", None)),
+    ((("tok", 1, 1, False, None), ("tok", "mem", 2, True, 1)), (None, "r")),
+])
+def test_canonicalize_breaks_cache_ties_on_net_then_wants(net, wants):
+    model = TokenSafetyModel()
+    net = tuple(sorted(net, key=repr))  # as the model keeps it
+    state = ((_IDLE, _IDLE), (3 - sum(m[2] for m in net), not net, 0), net, wants)
+    canon = model.canonicalize(state)
+    assert canon == _safety_oracle(model, state)
+    assert repr(canon) == repr(_safety_oracle(model, state))
+
+
+@pytest.mark.parametrize("site_act, arb, chan, pr", [
+    ((None, None, None), ((), None), ((("req", True),), ()), ("req", None)),
+    ((None, None, None), ((), None), ((), (("req", True),)), (None, "req")),
+    (((1, False),) * 3, (((0, True),), (1, False)), ((), ()), ("req", "req")),
+    (((0, False),) * 3, (((1, True),), (0, False)), ((), ()), ("req", "req")),
+    ((None, None, None), (((1, True), (0, False)), None), ((), ()), ("req", "req")),
+    ((None, None, None), ((), None), ((("deact",),), (("deact",),)), (None, None)),
+])
+def test_arb_canonicalize_breaks_ties_on_the_arbiter_slots(site_act, arb, chan, pr):
+    model = TokenArbModel(coarse_sends=True, atomic_broadcasts=True)
+    state = ((_IDLE, _IDLE), (3, True, 0), (), ("r", "r"), site_act, arb, chan, pr)
+    canon = model.canonicalize(state)
+    assert canon == _arb_oracle(model, state)
+    assert repr(canon) == repr(_arb_oracle(model, state))
+
+
+@pytest.mark.parametrize("caches, wants", [
+    (((0, False, False, 0), (3, True, True, 1)), (None, "w")),
+    ((_IDLE, _IDLE), ("w", None)),  # a cache tie, decided by wants
+])
+def test_canonicalize_returns_the_state_itself_when_it_is_canonical(caches, wants):
+    model = TokenSafetyModel()
+    state = (caches, (0, False, 0), (), wants)
+    assert model.canonicalize(state) is state
+    swapped = _relabeled(state, (1, 0), _relabel_core, (2, 3))
+    assert swapped != state and model.canonicalize(swapped) == state
+
+
+class _Printed(str):
+    """A string that prints bare, so one value's repr can be a proper
+    prefix of another's."""
+
+    __repr__ = str.__str__
+
+
+def test_canonicalize_compares_whole_reprs_when_a_slot_changes_length():
+    """A slot whose candidate reprs differ in length cannot decide alone:
+    ``A`` sorts before ``A(``, yet ``(..., A)`` sorts after ``(..., A()``.
+    The candidates left are then compared whole."""
+    names = ("A", "A(")
+
+    def relabel(state, perm, slot):  # slot 2 names a processor
+        return _Printed(names[perm[names.index(state[2])]])
+
+    for name in names:
+        state = ((_IDLE, _IDLE), "mem", _Printed(name))
+        fast = _canonical(state, relabel, (2,))
+        slow = _brute_force(state, relabel, (2,))
+        assert fast == slow and repr(fast) == repr(slow)
+        assert fast[2] == "A("
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,18 @@ def test_run_until_stops_clock():
     assert fired == [1, 2]
 
 
+def test_run_until_the_past_is_rejected():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.schedule(50, lambda: None)
+    sim.run(until=20)
+    with pytest.raises(ValueError, match="past"):
+        sim.run(until=5)
+    assert (sim.now, sim.pending, len(sim._queue)) == (20, 1, 1)
+    assert sim.run(until=20) == 20  # until == now is still accepted
+    assert sim.run() == 50
+
+
 def test_max_events_with_expect_drain_raises():
     sim = Simulator()
 
@@ -222,6 +234,36 @@ def test_watcher_exception_leaves_event_count_consistent():
     with pytest.raises(RuntimeError):
         sim.run()
     assert sim.events_fired == 3  # counted up to and including the trigger
+
+
+def _run_n_events(sim, n):
+    for delay in range(1, n + 1):
+        sim.schedule(delay, lambda: None)
+    sim.run()
+
+
+def test_removed_watcher_stops_firing():
+    sim = Simulator()
+    ticks, other = [], []
+    tick = lambda: ticks.append(sim.events_fired)  # noqa: E731
+    sim.add_watcher(tick, every_events=2)
+    sim.add_watcher(lambda: other.append(sim.events_fired), every_events=3)
+    _run_n_events(sim, 6)
+    sim.remove_watcher(tick)
+    assert sim._watch_next == 9
+    _run_n_events(sim, 6)
+    assert ticks == [2, 4, 6]
+    assert other == [3, 6, 9, 12]
+    with pytest.raises(ValueError):
+        sim.remove_watcher(tick)
+
+
+def test_removing_the_last_watcher_clears_the_threshold():
+    sim = Simulator()
+    tick = lambda: None  # noqa: E731
+    sim.add_watcher(tick, every_events=4)
+    sim.remove_watcher(tick)
+    assert sim._watchers == [] and sim._watch_next == float("inf")
 
 
 def test_watcher_every_events_must_be_positive():

@@ -283,6 +283,28 @@ def test_profiler_ignores_pops_from_another_simulator():
     assert profiler.events_profiled == watched.events_fired == 3
 
 
+def test_detach_removes_the_rate_watcher():
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator()
+    for delay in range(1, 11):
+        sim.schedule(delay, lambda: None)
+    profiler = KernelProfiler(rate_every_events=4).attach(sim)
+    try:
+        sim.run()
+    finally:
+        profiler.detach()
+    rates = list(profiler._rates)
+    assert len(rates) == 3  # attach, then counts 4 and 8
+    for delay in range(1, 11):
+        sim.schedule(delay, lambda: None)
+    sim.run()
+    assert profiler._rates == rates
+    assert sim._watchers == []
+    with pytest.raises(ValueError):
+        sim.remove_watcher(profiler._rate_tick)
+
+
 # ---------------------------------------------------------------------------
 # Metrics documents.
 # ---------------------------------------------------------------------------

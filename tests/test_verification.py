@@ -7,6 +7,7 @@ find violations, not just report success.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -341,7 +342,7 @@ def test_symmetry_reduction_shrinks_safety_model():
 
 def test_canonicalize_is_idempotent_and_orbit_stable():
     model = TokenSafetyModel()
-    from repro.verification.token_model import _permutations, _permute_core
+    from repro.verification.token_model import _relabel_core, _relabeled
 
     (state,) = model.initial_states()
     # Walk a few transitions to a non-trivial state.
@@ -349,8 +350,9 @@ def test_canonicalize_is_idempotent_and_orbit_stable():
         state = model.transitions(state)[0][1]
     canon = model.canonicalize(state)
     assert model.canonicalize(canon) == canon
-    for perm in _permutations(model.n):
-        assert model.canonicalize(_permute_core(state, perm)) == canon
+    for perm in itertools.permutations(range(model.n)):
+        relabeled = _relabeled(state, perm, _relabel_core, (2, 3))
+        assert model.canonicalize(relabeled) == canon
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +483,63 @@ def test_is_quiescent_runs_once_per_state():
         result = check(model, check_liveness=liveness)
         assert model.calls == {0: 1, 1: 1, 2: 1, 3: 1}
         assert result.quiescent_states == 1
+
+
+def test_checker_skips_only_the_inherited_identity_canonicalize(monkeypatch):
+    calls = []
+
+    def counting(self, state):
+        calls.append(state)
+        return state
+
+    monkeypatch.setattr(Model, "canonicalize", counting)
+    check(CounterModel())
+    assert calls == []  # the inherited identity is never called
+
+    class Overriding(CounterModel):
+        def canonicalize(self, state):
+            return counting(self, state)
+
+    check(Overriding())
+    assert len(calls) == 5  # the initial state and four successors
+    model = CounterModel()
+    model.canonicalize = lambda state: counting(model, state)
+    check(model)
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("make_model", [CounterModel, lambda: Chain(3)])
+def test_checker_restores_the_garbage_collector(make_model):
+    import gc
+
+    seen = []
+
+    class Watching(Model):
+        def __init__(self):
+            self.inner = make_model()
+
+        def initial_states(self):
+            return self.inner.initial_states()
+
+        def transitions(self, state):
+            seen.append(gc.isenabled())
+            return self.inner.transitions(state)
+
+        def is_quiescent(self, state):
+            return False  # Chain(3) then deadlocks: the error path
+
+    assert gc.isenabled()
+    try:
+        check(Watching(), check_liveness=False)
+    except VerificationError:
+        pass
+    assert gc.isenabled() and seen and not any(seen)
+    gc.disable()
+    try:
+        check(CounterModel())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def _sample_states(model, limit=400):
