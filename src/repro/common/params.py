@@ -162,6 +162,16 @@ class SystemParams:
         bank = (self.block_index(addr) // self.num_chips) % self.l2_banks_per_chip
         return NodeId(NodeKind.L2, chip, bank)
 
+    def interleave_residue(self, addr: int) -> int:
+        """The block index modulo ``num_chips * l2_banks_per_chip``.
+
+        It fixes both :meth:`home_chip` and the bank of :meth:`l2_bank`,
+        so blocks with one residue map to the same home and banks; the
+        token controllers key their broadcast destination sets by it.
+        Keep it in step with those two methods.
+        """
+        return addr // self.block_size % (self.num_chips * self.l2_banks_per_chip)
+
     def proc_chip(self, proc: int) -> int:
         return proc // self.procs_per_chip
 

@@ -49,6 +49,7 @@ class TokenCacheController:
         lookup_latency_ps: int,
     ):
         self.node = node
+        self.chip: int = node.chip
         self.sim = sim
         self.net = net
         self.params = params
@@ -73,18 +74,13 @@ class TokenCacheController:
         self._call_after = sim.call_after
         self._process_cb = self._process
         self._counters = stats.counters  # defaultdict: bare += per bump
-        self._lookup = array.lookup
         # The kernel relays the lookup hop (``handle``'s whole body).
         net.register(node, self.handle, lookup_latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
-    @property
-    def chip(self) -> int:
-        return self.node.chip
-
     def peek_entry(self, addr: int) -> Optional[TokenEntry]:
         """Entry for ``addr`` without disturbing LRU (used by the ledger)."""
-        return self.array.lookup(addr, touch=False)
+        return self.array.peek(addr)
 
     def token_census(self) -> Tuple[int, int, int]:
         """(cached blocks, tokens held, owner blocks) across the array.
@@ -168,7 +164,7 @@ class TokenCacheController:
         self._token_state_changed(msg.addr)
 
     def _ensure_entry(self, addr: int) -> TokenEntry:
-        entry = self._lookup(addr)
+        entry = self.array.lookup(addr)
         if entry is None:
             entry = TokenEntry()
             victim = self.array.allocate(addr, entry, evictable=self._evictable)
@@ -201,7 +197,7 @@ class TokenCacheController:
     # Substrate reaction to any token-state change.
     # ------------------------------------------------------------------
     def _token_state_changed(self, addr: int) -> None:
-        entry = self._lookup(addr, False)
+        entry = self.array.peek(addr)
         if entry is not None and entry.tokens == 0:
             self.array.deallocate(addr)
             entry = None
@@ -289,7 +285,7 @@ class TokenCacheController:
         # no tokens for the block, so skip the responder call entirely.
         addr = msg.addr
         requestor = msg.requestor
-        entry = self._lookup(addr, False)
+        entry = self.array.peek(addr)
         if entry is None or entry.tokens == 0 or requestor == self.node:
             return
         self._respond_transient(msg.mtype, addr, requestor)
@@ -298,7 +294,7 @@ class TokenCacheController:
         # Scalar arguments by design: responding can be parked on a hold
         # window (``_defer`` below), and a deferred continuation must not
         # capture the pooled request message past its delivery.
-        entry = self._lookup(addr, False)
+        entry = self.array.peek(addr)
         if entry is None or entry.tokens == 0 or requestor == self.node:
             return  # a cache only responds when it actually has tokens
         if self.table.active_for(addr) is not None:
@@ -366,7 +362,7 @@ class TokenCacheController:
         if epoch < self._block_epoch.get(addr, 0):
             return  # reordered bump from an already-closed epoch
         self._block_epoch[addr] = epoch
-        entry = self.array.lookup(addr, touch=False)
+        entry = self.array.peek(addr)
         reply_type = MsgType.TOK_RECREATE_ACK
         data = None
         dirty = False

@@ -64,12 +64,11 @@ class TokenL1Controller(TokenCacheController):
         self.rng = substream(seed, "l1", self.node)
         self.destset = None  # per-chip predictor, wired by the builder
         self._tx: Dict[int, Transaction] = {}
-        # Destination sets, keyed by block address: broadcast fan-out
-        # reuses one tuple per (block, scope) instead of rebuilding the
-        # list on every miss.  Each tuple is interned by content through
-        # the network (``Network.intern_dests``), so blocks with equal
-        # sets share one tuple and one fan-out plan.  Workload footprints
-        # are bounded, so the caches are too.
+        # Destination sets, keyed by ``params.interleave_residue(addr)``:
+        # one tuple per (residue, scope) instead of a rebuilt list on
+        # every miss.  Each tuple is interned by content through the
+        # network (``Network.intern_dests``), so equal sets share one
+        # tuple and one fan-out plan.
         self._dests_local: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_global: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_flat: Dict[int, Tuple[NodeId, ...]] = {}
@@ -154,17 +153,18 @@ class TokenL1Controller(TokenCacheController):
         tx.timer = self.sim.schedule(self.estimator.threshold_ps(), self._on_timeout, tx)
 
     def _transient_destinations(self, addr: int, global_: bool) -> Tuple[NodeId, ...]:
+        key = self.params.interleave_residue(addr)
         if self.cfg.flat_policy:
             # TokenB: flat broadcast to every cache in the machine.
-            cached = self._dests_flat.get(addr)
+            cached = self._dests_flat.get(key)
             if cached is not None:
                 return cached
             dests = [n for n in self.params.token_holders(addr) if n != self.node]
             dests.append(self.params.home_mem(addr))
-            self._dests_flat[addr] = cached = self.net.intern_dests(tuple(dests))
+            self._dests_flat[key] = cached = self.net.intern_dests(tuple(dests))
             return cached
         cache = self._dests_global if global_ else self._dests_local
-        cached = cache.get(addr)
+        cached = cache.get(key)
         if cached is not None:
             return cached
         dests = [n for n in self.params.chip_l1s(self.chip) if n != self.node]
@@ -174,7 +174,7 @@ class TokenL1Controller(TokenCacheController):
                 if chip != self.chip:
                     dests.append(self.params.l2_bank(addr, chip))
             dests.append(self.params.home_mem(addr))
-        cache[addr] = cached = self.net.intern_dests(tuple(dests))
+        cache[key] = cached = self.net.intern_dests(tuple(dests))
         return cached
 
     def _send_transient(self, tx: Transaction, global_: bool) -> None:
@@ -305,12 +305,13 @@ class TokenL1Controller(TokenCacheController):
         self._token_state_changed(tx.addr)
 
     def _persistent_broadcast_set(self, addr: int) -> Tuple[NodeId, ...]:
-        cached = self._pers_dests.get(addr)
+        key = self.params.interleave_residue(addr)
+        cached = self._pers_dests.get(key)
         if cached is not None:
             return cached
         dests = [n for n in self.params.token_holders(addr) if n != self.node]
         dests.append(self.params.home_mem(addr))
-        self._pers_dests[addr] = cached = self.net.intern_dests(tuple(dests))
+        self._pers_dests[key] = cached = self.net.intern_dests(tuple(dests))
         return cached
 
     def _deactivate(self, tx: Transaction) -> None:
@@ -383,7 +384,7 @@ class TokenL1Controller(TokenCacheController):
         tx = self._tx.get(addr)
         if tx is None:
             return
-        entry = self.array.lookup(addr, touch=False)
+        entry = self.array.peek(addr)
         if entry is None:
             return
         satisfied = (

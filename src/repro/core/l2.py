@@ -39,9 +39,10 @@ class TokenL2Controller(TokenCacheController):
         # the responses they receive; the gateway consults it.
         self.destset = None
         # Fan-out sets: the chip's L1 population is fixed, and the
-        # all-chips escalation set varies only with the block's home, so
-        # it is interned by content (``Network.intern_dests``) and equal
-        # sets of different blocks share one tuple and one fan-out plan.
+        # all-chips escalation set depends only on the block's home chip
+        # and bank, so it is keyed by ``params.interleave_residue(addr)``
+        # and interned by content (``Network.intern_dests``): equal sets
+        # share one tuple and one fan-out plan.
         self._local_l1s: Tuple[NodeId, ...] = tuple(self.params.chip_l1s(self.chip))
         self._esc_dests: Dict[int, Tuple[NodeId, ...]] = {}
 
@@ -94,15 +95,7 @@ class TokenL2Controller(TokenCacheController):
                 dests = [self.params.l2_bank(addr, chip) for chip in predicted]
                 dests.append(self.params.home_mem(addr))
         if dests is None:
-            dests = self._esc_dests.get(addr)
-            if dests is None:
-                dests = [
-                    self.params.l2_bank(addr, chip)
-                    for chip in self.params.all_chips()
-                    if chip != self.chip
-                ]
-                dests.append(self.params.home_mem(addr))
-                self._esc_dests[addr] = dests = self.net.intern_dests(tuple(dests))
+            dests = self._escalation_destinations(addr)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.tx_escalate(
@@ -112,6 +105,20 @@ class TokenL2Controller(TokenCacheController):
         template = self._forward_template(msg)
         self.net.send_fanout(template, dests)
         self.pool.release(template)
+
+    def _escalation_destinations(self, addr: int) -> Tuple[NodeId, ...]:
+        """Every other CMP's home bank for ``addr``, then home memory."""
+        key = self.params.interleave_residue(addr)
+        cached = self._esc_dests.get(key)
+        if cached is None:
+            dests = [
+                self.params.l2_bank(addr, chip)
+                for chip in self.params.all_chips()
+                if chip != self.chip
+            ]
+            dests.append(self.params.home_mem(addr))
+            self._esc_dests[key] = cached = self.net.intern_dests(tuple(dests))
+        return cached
 
     def _rebroadcast(self, msg: Message) -> None:
         """Deliver an external transient request to (filtered) local L1s."""

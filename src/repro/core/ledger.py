@@ -19,12 +19,16 @@ class ChipTokenLedger:
     """Live view of how many tokens of a block reside on one chip."""
 
     def __init__(self, controllers: List):
-        self._controllers = controllers  # TokenCacheControllers on this chip
+        # ``controllers``: the TokenCacheControllers on this chip.  Each
+        # cache's bound ``CacheArray.peek`` is an untouched probe with no
+        # Python frame of its own.
+        self._peeks = tuple(ctrl.array.peek for ctrl in controllers)
+        self._nodes = tuple(ctrl.node for ctrl in controllers)
 
     def tokens_on_chip(self, addr: int) -> int:
         total = 0
-        for ctrl in self._controllers:
-            entry = ctrl.peek_entry(addr)
+        for peek in self._peeks:
+            entry = peek(addr)
             if entry is not None:
                 total += entry.tokens
         return total
@@ -35,10 +39,10 @@ class ChipTokenLedger:
         Mirrors the local-read response rules: migratory owner with all
         tokens, or any cache with valid data and at least two tokens.
         """
-        for ctrl in self._controllers:
-            if ctrl.node == requestor:
+        for node, peek in zip(self._nodes, self._peeks):
+            if node == requestor:
                 continue
-            entry = ctrl.peek_entry(addr)
+            entry = peek(addr)
             if entry is None:
                 continue
             if entry.owner and entry.dirty and entry.tokens == total_tokens:

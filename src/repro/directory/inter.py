@@ -247,7 +247,7 @@ def coherent_value(machine, addr: int) -> int:
     addr = machine.params.block_of(addr)
     for ctrl in machine.controllers.values():
         if isinstance(ctrl, DirL1Controller):
-            entry = ctrl.array.lookup(addr, touch=False)
+            entry = ctrl.array.peek(addr)
             if entry is not None and entry.state in (_M, _O):
                 return entry.value
             buf = ctrl._evicting.get(addr)
@@ -255,7 +255,7 @@ def coherent_value(machine, addr: int) -> int:
                 return buf.value
     for ctrl in machine.controllers.values():
         if isinstance(ctrl, IntraDirL2Controller):
-            line = ctrl.array.lookup(addr, touch=False)
+            line = ctrl.array.peek(addr)
             if line is not None and line.l2_data and line.gstate in ("M", "E", "O"):
                 return line.value
             buf = ctrl._evicting.get(addr)

@@ -101,6 +101,7 @@ class IntraDirL2Controller:
         array: CacheArray,
     ):
         self.node = node
+        self.chip: int = node.chip
         self.sim = sim
         self.net = net
         self.params = params
@@ -118,10 +119,6 @@ class IntraDirL2Controller:
         net.register(node, self.handle, self._latency_ps, self._process_cb)
 
     # ------------------------------------------------------------------
-    @property
-    def chip(self) -> int:
-        return self.node.chip
-
     def occupancy(self) -> Tuple[int, int, int]:
         """(L2 lines, outstanding external tx, evicting) — telemetry."""
         return len(self.array), len(self._ext), len(self._evicting)

@@ -203,7 +203,7 @@ class DirL1Controller:
     # ------------------------------------------------------------------
     def _on_demand(self, msg: Message) -> None:
         addr = msg.addr
-        entry = self.array.lookup(addr, touch=False)
+        entry = self.array.peek(addr)
         if entry is not None and entry.hold_until > self.sim.now and msg.requestor != self.node:
             self._defer(addr, entry.hold_until, msg)
             return

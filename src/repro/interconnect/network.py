@@ -50,12 +50,21 @@ precomputed at construction time:
   same ``(time, seq)`` order;
 * **one shared broadcast message** — untraced and unfaulted,
   ``send_fanout`` delivers one read-only copy of its template to every
-  destination instead of one pooled clone each.
+  destination instead of one pooled clone each;
+* **a closed-form first hop** — every route of a broadcast leaves on
+  the sender's one egress link, so ``send_fanout`` charges that link
+  once per fan-out: copy *k* (from 0) leaves it at ``max(now,
+  busy_until) + (k+1)·ser``, exactly what *k+1* back-to-back traversals
+  give, and ``busy_until``/``bytes_carried`` are written once.  Only
+  the remaining hops are charged per destination (41,698 of 191,758 on
+  the 4x4 OLTP cell), buffered ones included.  When the routes do not
+  share a plain first link, every hop is charged per destination.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
+from itertools import islice
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -334,7 +343,7 @@ class Network:
         # route) pairs plus per-scope link counts come from a plan cached
         # by destination-tuple identity (broadcast dest tuples are
         # interned per machine, see ``intern_dests``).  Link busy_until
-        # order and event (time, seq) order are identical to a
+        # values and event (time, seq) order are identical to a
         # per-destination ``send`` loop; metering is applied as one
         # aggregate bump per scope — same final counters, addition is
         # commutative and the meter is only read between events.
@@ -354,7 +363,10 @@ class Network:
                 # (and pin its tuples) without bound.
                 row.clear()
             row[id(dests)] = entry
-        _dests, pairs, scope_links = entry
+        _dests, pairs, scope_links, first = entry
+        n = len(pairs)
+        if not n:
+            return
         mtype = template.mtype
         nbytes = self._data_bytes if mtype.has_data else self._ctrl_bytes
         keys = self._meter_keys[mtype.klass]
@@ -367,32 +379,57 @@ class Network:
         shared_dict = shared.__dict__
         shared_dict.update(template.__dict__)
         shared_dict.pop("_pooled", None)
+        # One uid per destination, drawn at once (a per-destination clone
+        # would draw the same ``n``).
+        next(islice(_msg_ids, n - 1, None))
         now = sim._now
         # Kernel internals hoisted for the inlined no-handle scheduling
         # below (the exact ``relay_at`` body; arrivals can never precede
         # ``now`` — serialization is >= 1 ps — so the past-check is
-        # statically satisfied).
+        # statically satisfied).  ``seq`` stays local until the end: no
+        # callback runs inside the loop.
         queue = sim._queue
         efree = sim._free_events
-        ids = _msg_ids
+        seq = sim._seq
+        if first is None:  # every copy starts at ``now``
+            hop = now
+            ser = 0
+        else:
+            # Every route leaves on ``first`` (the sender's egress link),
+            # so its n back-to-back copies are charged in closed form:
+            # copy k (from 0) starts serializing at begin + k*ser and
+            # reaches the next node at begin + (k+1)*ser + latency, exactly
+            # what n inlined traversals would compute.  ``first`` is on no
+            # route's tail, so charging it up front changes no tail hop.
+            ser = -(-nbytes * first._ser_num // first._ser_den)
+            if ser < 1:
+                ser = 1
+            begin = first.busy_until
+            if now > begin:
+                begin = now
+            first.busy_until = begin + n * ser
+            first.bytes_carried += n * nbytes
+            hop = begin + first.latency_ps
         for endpoint, route in pairs:
-            next(ids)
-            arrival = now
+            hop += ser
+            arrival = hop
             for link in route:
+                if link is first:  # charged above
+                    continue
                 if link.plain:
-                    ser = -(-nbytes * link._ser_num // link._ser_den)
-                    if ser < 1:
-                        ser = 1
-                    begin = link.busy_until
-                    if arrival > begin:
-                        begin = arrival
-                    link.busy_until = begin + ser
+                    ser_l = -(-nbytes * link._ser_num // link._ser_den)
+                    if ser_l < 1:
+                        ser_l = 1
+                    start = link.busy_until
+                    if arrival > start:
+                        start = arrival
+                    link.busy_until = start + ser_l
                     link.bytes_carried += nbytes
-                    arrival = begin + ser + link.latency_ps
+                    arrival = start + ser_l + link.latency_ps
                 else:
                     arrival = link.traverse(arrival, nbytes)
             handler, relay_ps, callee = endpoint
-            sim._seq = seq = sim._seq + 1
+            seq += 1
             if efree:
                 event = efree.pop()
                 event[0] = arrival
@@ -405,7 +442,8 @@ class Network:
                 sim.event_news += 1
                 event = [arrival, seq, handler, shared, relay_ps, callee]
             heappush(queue, event)
-        sim._pending += len(pairs)
+        sim._seq = seq
+        sim._pending += n
 
     def send_clones(self, template: Message, dests) -> None:
         """Send a pooled clone of ``template`` to each of ``dests``."""
@@ -417,13 +455,19 @@ class Network:
     def _build_fanout_plan(self, src: NodeId, dests):
         """Resolve a broadcast's per-destination (endpoint, route) pairs.
 
-        Returns ``(dests, pairs, scope_links)`` — the dests tuple itself
-        (kept so the identity-keyed cache holds its key alive), one
-        ``(endpoint, route)`` pair per destination, and the total link
-        count per scope for aggregate metering.  ``None`` when any
-        destination lacks a route or a registered endpoint (the caller
-        falls back to per-destination ``send``, which raises
-        :class:`ConfigError` naming the offending pair).
+        Returns ``(dests, pairs, scope_links, first)`` — the dests tuple
+        itself (kept so the identity-keyed cache holds its key alive), one
+        ``(endpoint, route)`` pair per destination, the total link count
+        per scope for aggregate metering, and ``first``: the plain
+        :class:`Link` every route starts on and no route revisits, which
+        ``send_fanout`` charges in closed form, or None (then every hop
+        is walked per destination).  Later hops may be any link,
+        :class:`BufferedLink` included.  Routes are the route table's own
+        tuples, so a plan holds no per-hop records of its own.  The whole
+        result is ``None`` when any destination lacks a route or a
+        registered endpoint (the caller falls back to per-destination
+        ``send``, which raises :class:`ConfigError` naming the offending
+        pair).
         """
         by_dst = self._route_row(src)
         if by_dst is None:
@@ -440,7 +484,13 @@ class Network:
             for link in route:
                 scope = link.scope
                 counts[scope] = counts.get(scope, 0) + 1
-        return (dests, tuple(pairs), tuple(counts.items()))
+        first = pairs[0][1][0] if pairs and pairs[0][1] else None
+        if first is not None and not (first.plain and all(
+            route and route[0] is first and first not in route[1:]
+            for _endpoint, route in pairs
+        )):
+            first = None
+        return (dests, tuple(pairs), tuple(counts.items()), first)
 
     def release(self, msg: Message) -> None:
         """Return a delivered pooled message to the pool (no-op for

@@ -3,11 +3,24 @@
 The array stores protocol-specific entry objects keyed by block address.
 Protocols mark entries un-evictable while a transaction is in flight via
 the ``evictable`` predicate passed to :meth:`CacheArray.allocate`.
+
+Layout
+------
+
+Two views of the same entries:
+
+* a **flat index** ``addr -> entry`` over the whole array, whose bound
+  ``get`` is exposed as :attr:`CacheArray.peek`: an untouched probe (a
+  broadcast receiver checking for tokens, a ledger summing a chip's
+  holdings) is one C-level dict lookup with no Python frame;
+* **per-set LRU order** in plain insertion-ordered dicts, oldest first:
+  :meth:`CacheArray.lookup` refreshes an entry by deleting and
+  re-inserting it.  Plain dicts are smaller than ``OrderedDict``, which
+  pays for the flat index.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from repro.common.errors import ConfigError
@@ -28,21 +41,25 @@ class CacheArray:
         if self.num_sets & (self.num_sets - 1):
             raise ConfigError(f"{name}: number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
-        self._sets: Dict[int, OrderedDict] = {}
+        self._sets: Dict[int, Dict[int, E]] = {}
+        self._index: Dict[int, E] = {}
+        #: ``peek(addr)``: the entry for ``addr`` or None, leaving LRU order
+        #: alone.  The flat index's bound ``get`` (never rebound: the index
+        #: is only mutated in place).
+        self.peek: Callable[[int], Optional[E]] = self._index.get
 
     def _set_of(self, addr: int) -> int:
         return (addr // self.block_size) & self._set_mask
 
-    def lookup(self, addr: int, touch: bool = True) -> Optional[E]:
-        """Return the entry for ``addr`` or None; optionally update LRU."""
-        # Inlined _set_of plus a single-probe bucket.get: this sits under
-        # every processor access and every protocol dispatch.
-        bucket = self._sets.get((addr // self.block_size) & self._set_mask)
-        if bucket is None:
-            return None
-        entry = bucket.get(addr)
-        if entry is not None and touch:
-            bucket.move_to_end(addr)
+    def lookup(self, addr: int) -> Optional[E]:
+        """Return the entry for ``addr`` or None, making it most recent."""
+        entry = self._index.get(addr)
+        if entry is not None:
+            # Inlined _set_of; delete + reinsert moves ``addr`` to the
+            # MRU end of its set's insertion order.
+            bucket = self._sets[(addr // self.block_size) & self._set_mask]
+            del bucket[addr]
+            bucket[addr] = entry
         return entry
 
     def allocate(
@@ -58,10 +75,10 @@ class CacheArray:
         nothing is evictable (callers should size MSHRs/sets to avoid it).
         """
         index = self._set_of(addr)
-        bucket = self._sets.setdefault(index, OrderedDict())
+        bucket = self._sets.setdefault(index, {})
         if addr in bucket:
-            bucket[addr] = entry
-            bucket.move_to_end(addr)
+            del bucket[addr]
+            bucket[addr] = self._index[addr] = entry
             return None
         victim = None
         if len(bucket) >= self.assoc:
@@ -72,23 +89,26 @@ class CacheArray:
             if victim is None:
                 raise ConfigError(f"{self.name}: set {index} full of un-evictable blocks")
             del bucket[victim[0]]
-        bucket[addr] = entry
+            del self._index[victim[0]]
+        bucket[addr] = self._index[addr] = entry
         return victim
 
     def deallocate(self, addr: int) -> Optional[E]:
         """Remove and return the entry for ``addr`` (None if absent)."""
-        bucket = self._sets.get(self._set_of(addr))
-        if bucket is None:
-            return None
-        return bucket.pop(addr, None)
+        entry = self._index.pop(addr, None)
+        if entry is not None:
+            del self._sets[self._set_of(addr)][addr]
+        return entry
 
     def __contains__(self, addr: int) -> bool:
-        return self.lookup(addr, touch=False) is not None
+        return addr in self._index
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._sets.values())
+        return len(self._index)
 
     def items(self) -> Iterator[Tuple[int, E]]:
+        """Every entry, set by set in first-allocation order, each set in
+        LRU order (oldest first)."""
         for bucket in self._sets.values():
             yield from bucket.items()
 

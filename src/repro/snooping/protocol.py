@@ -107,7 +107,7 @@ class SnoopL1Controller:
 
     # -- coordinator side (synchronous snoop actions) ---------------------
     def entry(self, addr: int) -> Optional[SnoopEntry]:
-        return self.array.lookup(addr, touch=False)
+        return self.array.peek(addr)
 
     def install(self, addr: int, state: str, value: int) -> None:
         entry = self.array.lookup(addr)
@@ -312,7 +312,7 @@ class SnoopCoordinator:
             entry = l1.entry(addr)
             if entry is not None and entry.state in (M, O, E):
                 return entry.value
-        line = self.l2.lookup(addr, touch=False)
+        line = self.l2.peek(addr)
         if line is not None and line.dirty:
             return line.value
         return self.image.read(addr)

@@ -1005,11 +1005,26 @@ def _set_entry(table: Tuple, proc: int, entry) -> Tuple:
 # Symmetry reduction helpers (processor permutations).
 # ---------------------------------------------------------------------------
 def _permute_msg(msg, perm):
-    if msg[0] == "tok":
+    """``msg`` with processor ``i`` renamed ``perm[i]``.
+
+    Token carriers name their destination processor; the arbiter
+    model's message-mode ``act``/``clear`` messages name a site and
+    (``act``) the active processor.  Site ``i < n`` is processor ``i``'s
+    cache, so it is renamed with it; site ``n`` (memory) is not.
+    """
+    kind = msg[0]
+    if kind == "tok":
         _k, dst, tokens, owner, value = msg
         if dst != MEM:
             dst = perm[dst]
         return ("tok", dst, tokens, owner, value)
+    if kind in ("act", "clear"):
+        site = msg[1]
+        if site < len(perm):
+            site = perm[site]
+        if kind == "clear":
+            return ("clear", site)
+        return ("act", site, perm[msg[2]], msg[3])
     return msg
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the set-associative cache array."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -58,7 +61,9 @@ def test_untouched_lookup_does_not_refresh():
     a2 = addr_for_set(c, 0, 2)
     c.allocate(a0, "A")
     c.allocate(a1, "B")
-    c.lookup(a0, touch=False)
+    for _ in range(3):  # however often the oldest entry is peeked at
+        assert c.peek(a1) == "B"
+        assert c.peek(a0) == "A"
     victim = c.allocate(a2, "C")
     assert victim == (a0, "A")
 
@@ -72,7 +77,7 @@ def test_evictable_predicate_skips_pinned():
     c.allocate(a1, "B")
     victim = c.allocate(a2, "C", evictable=lambda a, e: e != "pinned")
     assert victim == (a1, "B")
-    assert c.lookup(a0, touch=False) == "pinned"
+    assert c.peek(a0) == "pinned"
 
 
 def test_full_set_of_unevictable_raises():
@@ -112,3 +117,87 @@ def test_geometry_validation():
         CacheArray(1000, 4, 64)  # not a multiple
     with pytest.raises(ConfigError):
         CacheArray(3 * 4 * 64, 4, 64)  # sets not a power of two
+
+
+class _ReferenceArray:
+    """The array's contract written the plain way: one ``OrderedDict``
+    per set in LRU order, no flat index."""
+
+    def __init__(self, assoc, num_sets, block):
+        self.assoc, self.num_sets, self.block = assoc, num_sets, block
+        self.sets = {}
+
+    def _bucket(self, addr):
+        return self.sets.get((addr // self.block) % self.num_sets)
+
+    def lookup(self, addr, touch):
+        bucket = self._bucket(addr)
+        entry = None if bucket is None else bucket.get(addr)
+        if entry is not None and touch:
+            bucket.move_to_end(addr)
+        return entry
+
+    def allocate(self, addr, entry, evictable):
+        bucket = self.sets.setdefault((addr // self.block) % self.num_sets, OrderedDict())
+        if addr in bucket:
+            bucket[addr] = entry
+            bucket.move_to_end(addr)
+            return None
+        victim = None
+        if len(bucket) >= self.assoc:
+            victim = next(((a, e) for a, e in bucket.items() if evictable(a, e)), None)
+            if victim is None:
+                raise ConfigError("full")
+            del bucket[victim[0]]
+        bucket[addr] = entry
+        return victim
+
+    def deallocate(self, addr):
+        bucket = self._bucket(addr)
+        return None if bucket is None else bucket.pop(addr, None)
+
+    def items(self):
+        return [item for bucket in self.sets.values() for item in bucket.items()]
+
+    def entries_in_set(self, addr):
+        bucket = self._bucket(addr)
+        return [] if bucket is None else list(bucket.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_an_ordered_dict_reference_under_random_operations(seed):
+    rng = random.Random(seed)
+    assoc, sets = 4, 4
+    array = tiny(assoc=assoc, sets=sets)
+    ref = _ReferenceArray(assoc, sets, array.block_size)
+    addrs = [addr_for_set(array, s, tag) for s in range(sets) for tag in range(9)]
+    pinned = set(rng.sample(addrs, 6))
+    predicates = (
+        lambda a, e: True,
+        lambda a, e: a not in pinned,
+        lambda a, e: not e.endswith("0"),
+    )
+    for step in range(3000):
+        addr = rng.choice(addrs)
+        op = rng.randrange(5)
+        if op == 0:
+            assert array.lookup(addr) == ref.lookup(addr, touch=True)
+        elif op == 1:
+            assert array.peek(addr) == ref.lookup(addr, touch=False)
+        elif op == 2:
+            entry = f"e{step}"
+            evictable = rng.choice(predicates)
+            try:
+                expected = ref.allocate(addr, entry, evictable)
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    array.allocate(addr, entry, evictable)
+            else:
+                assert array.allocate(addr, entry, evictable) == expected
+        elif op == 3:
+            assert array.deallocate(addr) == ref.deallocate(addr)
+        else:
+            assert list(array.entries_in_set(addr)) == ref.entries_in_set(addr)
+        assert (addr in array) == (ref.lookup(addr, touch=False) is not None)
+        assert len(array) == len(ref.items())
+    assert list(array.items()) == ref.items()

@@ -266,6 +266,90 @@ def test_arb_canonicalize_breaks_ties_on_the_arbiter_slots(site_act, arb, chan, 
     assert repr(canon) == repr(_arb_oracle(model, state))
 
 
+# ---------------------------------------------------------------------------
+# Message mode: in-flight persistent-request messages name processors too.
+# ---------------------------------------------------------------------------
+def _arb_orbit(state):
+    """Every processor relabeling of an arbiter-model state, written out
+    here from the model's state layout alone (none of the model's
+    relabeling helpers): the orbit the canonical form must come from."""
+    caches, mem, net, wants, site_act, arb, chan, pr = state
+    n = len(caches)
+
+    def site(s, perm):
+        return perm[s] if s < n else s
+
+    def msg(m, perm):
+        if m[0] == "tok":
+            return m[:1] + (m[1] if m[1] == "mem" else perm[m[1]],) + m[2:]
+        if m[0] == "act":
+            return ("act", site(m[1], perm), perm[m[2]], m[3])
+        assert m[0] == "clear", m
+        return ("clear", site(m[1], perm))
+
+    def moved(entries, perm):
+        out = [None] * n
+        for old, new in enumerate(perm):
+            out[new] = entries[old]
+        return tuple(out)
+
+    def active(entry, perm):
+        return None if entry is None else (perm[entry[0]], entry[1])
+
+    for perm in itertools.permutations(range(n)):
+        queue, act = arb
+        yield (
+            moved(caches, perm),
+            mem,
+            tuple(sorted((msg(m, perm) for m in net), key=repr)),
+            moved(wants, perm),
+            tuple(active(e, perm) for e in moved(site_act[:n], perm) + site_act[n:]),
+            (tuple((perm[p], r) for p, r in queue), active(act, perm)),
+            moved(chan, perm),
+            moved(pr, perm),
+        )
+
+
+def _assert_least_in_orbit(model, state):
+    canon = model.canonicalize(state)
+    orbit = list(_arb_orbit(state))
+    assert canon in orbit, state
+    assert repr(canon) == min(repr(s) for s in orbit), state
+
+
+def test_arb_message_mode_relabels_processors_inside_act_messages():
+    """A reachable message-mode state whose ``act`` messages all name
+    processor 0: relabeling must rename them with the arbiter's active
+    request, or the result leaves the state's orbit (``arb`` and ``pr``
+    say processor 1 while every ``act`` still says 0)."""
+    model = TokenArbModel(values=1, coarse_sends=True)
+    state = (
+        ((0, False, False, 0), (0, False, False, 0)), (3, True, 0),
+        (("act", 0, 0, False), ("act", 1, 0, False), ("act", 2, 0, False)),
+        ("w", "r"), (None, None, None), ((), (0, False)), ((), ()), ("req", None),
+    )
+    assert model.canonicalize(state) == state
+    swapped = list(_arb_orbit(state))[1]
+    assert swapped[2] == (
+        ("act", 0, 1, False), ("act", 1, 1, False), ("act", 2, 1, False))
+    assert model.canonicalize(swapped) == state
+    _assert_least_in_orbit(model, state)
+
+
+def test_arb_message_mode_canonical_forms_are_least_in_their_orbit():
+    """The first 20,000 canonical states of the message-mode arbiter
+    model (``examples/verify_protocols.py`` checks it; the whole space is
+    past 3M states), each state reached checked against its orbit."""
+    model = TokenArbModel(values=1, coarse_sends=True)
+    count = 0
+    kinds = set()
+    for state in _reached(model, 20_000):
+        _assert_least_in_orbit(model, state)
+        kinds.update(m[0] for m in state[2])
+        count += 1
+    assert count > 20_000 and kinds == {"tok", "act", "clear"}
+
+
 @pytest.mark.parametrize("caches, wants", [
     (((0, False, False, 0), (3, True, True, 1)), (None, "w")),
     ((_IDLE, _IDLE), ("w", None)),  # a cache tie, decided by wants

@@ -50,7 +50,7 @@ def test_fwd_gets_share_downgrades_owner(rig):
     (data,) = inboxes["peer"]
     assert data.mtype is MsgType.DIR_DATA and data.extra == GRANT_S
     assert data.data == 9
-    assert l1.array.lookup(BLOCK, touch=False).state == O
+    assert l1.array.peek(BLOCK).state == O
 
 
 def test_fwd_gets_migrate_surrenders_block(rig):
@@ -61,7 +61,7 @@ def test_fwd_gets_migrate_surrenders_block(rig):
     sim.run()
     (data,) = inboxes["peer"]
     assert data.extra == GRANT_M and data.dirty
-    assert l1.array.lookup(BLOCK, touch=False) is None
+    assert l1.array.peek(BLOCK) is None
 
 
 def test_fwd_getx_carries_ack_count(rig):
@@ -72,7 +72,7 @@ def test_fwd_getx_carries_ack_count(rig):
     sim.run()
     (data,) = inboxes["peer"]
     assert data.extra == GRANT_M and data.acks == 2
-    assert l1.array.lookup(BLOCK, touch=False) is None
+    assert l1.array.peek(BLOCK) is None
 
 
 def test_inv_acks_even_without_entry(rig):
@@ -91,7 +91,7 @@ def test_recall_inv_returns_data_from_exclusive(rig):
     (resp,) = inboxes["l2"]
     assert resp.mtype is MsgType.DIR_WB_DATA and resp.extra == "recall"
     assert resp.data == 4
-    assert l1.array.lookup(BLOCK, touch=False) is None
+    assert l1.array.peek(BLOCK) is None
 
 
 def test_recall_copy_keeps_ownership_as_O(rig):
@@ -101,7 +101,7 @@ def test_recall_copy_keeps_ownership_as_O(rig):
     sim.run()
     (resp,) = inboxes["l2"]
     assert resp.mtype is MsgType.DIR_WB_DATA and resp.data == 6
-    assert l1.array.lookup(BLOCK, touch=False).state == O
+    assert l1.array.peek(BLOCK).state == O
 
 
 def test_eviction_buffer_answers_forward_and_cancels_wb(rig):
@@ -123,7 +123,7 @@ def test_eviction_buffer_answers_forward_and_cancels_wb(rig):
 def test_hold_window_defers_forward_until_release(rig):
     params, sim, net, l1, inboxes, peer, home = rig
     install(l1, M, value=1)
-    entry = l1.array.lookup(BLOCK, touch=False)
+    entry = l1.array.peek(BLOCK)
     entry.hold_until = sim.now + 100_000  # 100 ns critical section
     net.send(Message(MsgType.DIR_FWD_GETX, home, l1.node, BLOCK,
                      requestor=peer, acks=0))
@@ -139,7 +139,7 @@ def test_store_disarms_hold_and_flushes(rig):
     from repro.cpu.ops import Store
 
     install(l1, M, value=1)
-    entry = l1.array.lookup(BLOCK, touch=False)
+    entry = l1.array.peek(BLOCK)
     entry.hold_until = sim.now + 500_000
     net.send(Message(MsgType.DIR_FWD_GETX, home, l1.node, BLOCK,
                      requestor=peer, acks=0))

@@ -25,7 +25,7 @@ def run_op(m, proc, op):
 
 
 def l1_entry(m, p, proc):
-    return m.controllers[p.l1d_of(proc)].array.lookup(ADDR, touch=False)
+    return m.controllers[p.l1d_of(proc)].array.peek(ADDR)
 
 
 def test_first_read_grants_exclusive():

@@ -57,7 +57,7 @@ def test_local_miss_goes_global(rig):
     _local_gets(net, sim, params)
     (msg,) = inboxes["mem"]
     assert msg.mtype is MsgType.DIR_GETS
-    line = bank.array.lookup(BLOCK, touch=False)
+    line = bank.array.peek(BLOCK)
     assert line.busy and line.pending is not None
 
 
@@ -79,7 +79,7 @@ def test_second_local_request_queues_behind_busy(rig):
     _local_gets(net, sim, params, proc=0)
     _local_gets(net, sim, params, proc=1)
     assert stats.get("l2.deferred_requests") == 1
-    line = bank.array.lookup(BLOCK, touch=False)
+    line = bank.array.peek(BLOCK)
     assert len(line.queue) == 1
 
 
@@ -144,7 +144,7 @@ def test_l1_writeback_three_phase(rig):
     net.send(Message(MsgType.DIR_WB_DATA, l1, bank.node, BLOCK,
                      requestor=l1, data=11, dirty=True))
     sim.run()
-    line = bank.array.lookup(BLOCK, touch=False)
+    line = bank.array.peek(BLOCK)
     assert line.owner_l1 is None and line.l2_data and line.value == 11
     assert not line.busy
 

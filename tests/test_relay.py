@@ -14,12 +14,13 @@ import pytest
 
 from repro.common.params import SystemParams
 from repro.core.base import TokenCacheController
-from repro.exp.library import fig6_smoke_cell
+from repro.exp.library import fig6_smoke_cell, mesh_params
 from repro.exp.runner import run_cell
 from repro.exp.spec import Cell
 from repro.faults.injector import FaultConfig, FaultyNetwork
 from repro.interconnect.message import MessagePool, _msg_ids
 from repro.interconnect.network import Network
+from repro.interconnect.topology import Topology
 from repro.obs import KernelProfiler, Tracer
 from repro.sim.kernel import Simulator
 
@@ -134,6 +135,62 @@ def test_result_identical_with_tracer_on_and_off(protocol):
     plain = run_cell(_small_cell(protocol=protocol))
     traced = run_cell(_small_cell(protocol=protocol), tracer=Tracer())
     assert traced.to_json() == plain.to_json()
+
+
+def _link_state(machine):
+    net = machine.net
+    links = {name: (link.busy_until, link.bytes_carried)
+             for name, link in net.links_by_name().items()}
+    return (links, dict(net.meter.bytes), dict(net.meter.messages),
+            net.buffer_report())
+
+
+# ``send_fanout`` charges a plan's shared first link in closed form and
+# walks only the remaining hops (multi-hop tails on the mesh, buffered
+# inter-CMP tails); a plan whose first link is a BufferedLink charges
+# every hop per destination.  The tracer's per-destination ``send`` is
+# the reference for both.
+FABRICS = {
+    "mesh-8x2": mesh_params(8, 2),
+    "ptp-buffered-inter": SystemParams(
+        num_chips=2, procs_per_chip=2, tokens_per_block=16,
+        topology=Topology().with_override("inter:*", buffer_bytes=64)),
+    "ptp-buffered-intra": SystemParams(
+        num_chips=2, procs_per_chip=2, tokens_per_block=16,
+        topology=Topology().with_override("intra:*", buffer_bytes=64)),
+}
+
+
+def _plan_paths(machine):
+    """(closed-form plans with a buffered hop, plans without ``first``)."""
+    plans = [entry for row in machine.net._fanout_plans.values()
+             for entry in row.values()]
+    buffered_tail = sum(
+        1 for _dests, pairs, _scopes, first in plans if first is not None
+        and any(not link.plain for _endpoint, route in pairs for link in route))
+    per_hop = sum(1 for entry in plans if entry[3] is None)
+    return buffered_tail, per_hop
+
+
+@pytest.mark.parametrize("protocol", ("TokenCMP-dst1", "TokenCMP-arb0"))
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_fanout_link_state_identical_with_tracer_on_and_off(protocol, fabric):
+    cell = _small_cell(protocol=protocol, params=FABRICS[fabric])
+    plain = run_cell(cell)
+    traced = run_cell(cell, tracer=Tracer())
+    assert traced.to_json() == plain.to_json()
+    state = _link_state(plain.raw.machine)
+    assert state == _link_state(traced.raw.machine)
+    if fabric == "ptp-buffered-inter":
+        assert state[3] and all(r["peak_backlog_bytes"] for r in state[3].values())
+    elif fabric == "ptp-buffered-intra":
+        assert state[3] and any(r["peak_backlog_bytes"] for r in state[3].values())
+    if protocol == "TokenCMP-dst1":  # arb0 sends no transient broadcasts
+        buffered_tail, per_hop = _plan_paths(plain.raw.machine)
+        if fabric == "ptp-buffered-inter":
+            assert buffered_tail and not per_hop
+        elif fabric == "ptp-buffered-intra":
+            assert per_hop
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -151,7 +151,7 @@ def test_fetch_ops_route_to_l1i(params):
         m.sim.run(max_events=500_000)
         assert done == [0]
         l1i = m.l1is[0]
-        assert l1i.array.lookup(0x9000_0000, touch=False) is not None
+        assert l1i.array.peek(0x9000_0000) is not None
 
 
 def test_code_sharing_across_l1is(params):
@@ -165,8 +165,8 @@ def test_code_sharing_across_l1is(params):
         m.sequencers[proc].issue(Fetch(0x9000_0000), done.append)
         m.sim.run(max_events=500_000)
         assert done == [0]
-    e0 = m.l1is[0].array.lookup(0x9000_0000, touch=False)
-    e2 = m.l1is[2].array.lookup(0x9000_0000, touch=False)
+    e0 = m.l1is[0].array.peek(0x9000_0000)
+    e2 = m.l1is[2].array.peek(0x9000_0000)
     assert e0.can_read() and e2.can_read()
     m.check_token_invariants()
 
