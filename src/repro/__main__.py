@@ -8,8 +8,9 @@ Commands:
 * ``trace``   — run one workload with tracing on, write a Perfetto-loadable
   Chrome trace and (optionally) span/profiler reports
 * ``bench``   — run a named paper experiment through the engine
-* ``perf``    — run the kernel/network/end-to-end performance suite
-  (``BENCH_perf.json``; see ``docs/performance.md``)
+* ``perf``    — print the deterministic work-and-allocation report of
+  the fig6 smoke cell (``repro.bench_work/1``, committed as
+  ``BENCH_work.json``; see ``docs/performance.md``)
 * ``topo``    — list topology generators, or validate one for a chip
   count and print its canonical link table (text or ``repro.topology/1``
   JSON)
@@ -358,9 +359,9 @@ def cmd_topo(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.perf import run_from_args
+    from repro.perf import main
 
-    return run_from_args(args)
+    return main()
 
 
 def cmd_verify(args) -> int:
@@ -590,12 +591,10 @@ def main(argv=None) -> int:
     t.add_argument("--json", action="store_true",
                    help="emit the canonical repro.topology/1 document")
 
-    from repro.perf import add_arguments as _add_perf_arguments
-
-    pf = sub.add_parser(
-        "perf", help="run the kernel/network/e2e performance suite"
+    sub.add_parser(
+        "perf", help="print the fig6 smoke cell's deterministic work and "
+                     "allocation report (BENCH_work.json)"
     )
-    _add_perf_arguments(pf)
 
     v = sub.add_parser("verify", help="model-check the protocol models")
     v.add_argument("--fast", action="store_true")

@@ -250,12 +250,14 @@ SMOKE_CELL_SEED = 1
 def fig6_smoke_cell(telemetry=None) -> Cell:
     """One representative fig6 cell, pinned across PRs.
 
-    The perf suite's e2e benchmark, the determinism tests and the CI
-    telemetry-smoke job all run exactly this cell (metrics sha
-    ``8d0b5685...``, 163255 events), so any behavioral drift shows up as
-    one diff everywhere.  ``telemetry`` optionally attaches a
-    :class:`~repro.obs.telemetry.TelemetryConfig` — sampling is
-    observational, so the simulated outcome is identical either way.
+    The work report (``python -m repro perf``, committed as
+    ``BENCH_work.json``), the fig6 smoke pin in ``tests/test_network.py``
+    and the CI telemetry-smoke job all run exactly this cell (metrics
+    sha ``8d0b5685...``, 163255 events, 20,234,772 ps), so any
+    behavioral drift shows up as one diff everywhere.  ``telemetry``
+    optionally attaches a :class:`~repro.obs.telemetry.TelemetryConfig`
+    — sampling is observational, so the simulated outcome is identical
+    either way.
     """
     return Cell(
         protocol=SMOKE_CELL_PROTOCOL,

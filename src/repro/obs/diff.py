@@ -1,7 +1,7 @@
 """Cross-run comparison of canonical JSON documents.
 
 Every deterministic export in the repository — ``repro.metrics/1``,
-``repro.telemetry/1``, ``repro.bench_perf/1``, profiler projections —
+``repro.telemetry/1``, ``repro.bench_work/1``, profiler projections —
 is a tree of numeric leaves under stable keys.  This module flattens two
 such documents into ``dotted.path -> number`` maps, reports per-counter
 deltas, and applies a configurable regression gate (``GLOB:PCT`` rules,
@@ -134,13 +134,17 @@ def apply_gates(rows: List[dict], gates: List[Tuple[str, float]]
     change ``|b - a| / |a|`` exceeds ``pct / 100`` — or when the key is
     missing on either side, or appeared from zero (both undefined
     relative changes, treated as failures: a gated counter must exist
-    and stay comparable).
+    and stay comparable).  A glob that matches no key at all is a
+    violation too (keyed by the glob), so a misspelled or renamed key
+    cannot switch its gate off.
     """
     violations = []
     for glob, pct in gates:
+        matched = False
         for row in rows:
             if not fnmatch.fnmatchcase(row["key"], glob):
                 continue
+            matched = True
             va, vb = row["a"], row["b"]
             if va is None or vb is None:
                 why = "missing on one side"
@@ -155,6 +159,11 @@ def apply_gates(rows: List[dict], gates: List[Tuple[str, float]]
                 why = f"changed {rel * 100.0:.2f}% (> {pct:g}%)"
             violations.append({**row, "gate": f"{glob}:{pct:g}",
                                "why": why})
+        if not matched:
+            violations.append({"key": glob, "a": None, "b": None,
+                               "delta": None, "ratio": None,
+                               "gate": f"{glob}:{pct:g}",
+                               "why": "matches no key"})
     return violations
 
 

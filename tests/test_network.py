@@ -1,5 +1,8 @@
 """Unit tests for the interconnect model: latency, bandwidth, traffic."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -227,3 +230,9 @@ def test_fanout_plans_are_built_once_per_destination_set(monkeypatch):
     assert result.raw.machine.sim.events_fired == 163255
     assert counts["fanouts"] == 10107
     assert counts["plans"] <= 300
+    # The cell's simulated outcome, pinned on every interpreter the
+    # suite runs on (BENCH_work.json carries the same two values).
+    blob = json.dumps(result.metrics(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "8d0b568583625eb4a005fd9ee1c569bfb7a87a9375adc2c9400de423863d6031")
+    assert result.runtime_ps == 20_234_772

@@ -1,7 +1,8 @@
 """Pooling-safety suite: the zero-allocation steady state must be
 *invisible* to the simulation.
 
-Three layers:
+Two layers here (the steady-state allocation windows themselves are
+pinned in ``BENCH_work.json``; see ``tests/test_perf.py``):
 
 * **aliasing unit tests** — the freelist recycles records and resets
   their payload; double release and plain-message release are no-ops;
@@ -11,14 +12,9 @@ Three layers:
   metrics with ``REPRO_POOLING=0`` and ``1``, including under the fault
   injector (whose in-flight ledger takes ownership of absorbed
   messages) and a mid-run crash; a subprocess matrix crosses pooling
-  with ``PYTHONHASHSEED`` to prove neither knob leaks into results;
-* **allocation-gate units** — ``alloc_report`` projects only the
-  machine-independent fields, ``compare_alloc`` is zero-tolerance, and
-  ``compare`` gates wall-clock throughput only between matching host
-  fingerprints.
+  with ``PYTHONHASHSEED`` to prove neither knob leaks into results.
 """
 
-import copy
 import json
 import subprocess
 import sys
@@ -31,13 +27,6 @@ from repro.exp.spec import Cell
 from repro.exp.runner import run_cell
 from repro.faults.injector import FaultConfig
 from repro.interconnect.message import Message, MessagePool, MsgType
-from repro.perf import (
-    ALLOC_DETERMINISTIC_FIELDS,
-    alloc_report,
-    compare,
-    compare_alloc,
-    machine_fingerprint,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -197,79 +186,3 @@ def test_pooling_and_hash_seed_do_not_leak_into_metrics():
             )
             digests.add(out.stdout.strip())
     assert len(digests) == 1, f"metrics depend on pooling/hashseed: {digests}"
-
-
-# ---------------------------------------------------------------------------
-# Allocation gate units.
-# ---------------------------------------------------------------------------
-def _steady(**overrides):
-    steady = {
-        "cell": "TokenCMP-dst1/oltp[refs=120,seed=1]",
-        "warmup_events": 40_000,
-        "window_events": 10_000,
-        "windows": 2,
-        "blocks_window_budget": 4096,
-        "blocks_within_budget": True,
-        "event_news": [0, 0],
-        "pool_news": [0, 0],
-        "pooling_enabled": True,
-        # raw observational extras that must NOT survive projection
-        "blocks_delta": [1939, -2],
-        "pool": {"acquires": 99, "news": 0, "releases": 99, "free_end": 7},
-    }
-    steady.update(overrides)
-    return steady
-
-
-def test_alloc_report_projects_only_deterministic_fields():
-    report = alloc_report(full=_steady())
-    (entry,) = report["python"].values()
-    assert set(entry["steady_state"]) == set(ALLOC_DETERMINISTIC_FIELDS)
-    assert "blocks_delta" not in entry["steady_state"]
-
-
-def test_compare_alloc_zero_tolerance():
-    committed = alloc_report(full=_steady())
-    assert compare_alloc(committed, committed) == []
-    drifted = copy.deepcopy(committed)
-    (entry,) = drifted["python"].values()
-    entry["steady_state"]["event_news"] = [0, 1]
-    problems = compare_alloc(drifted, committed)
-    assert problems and "event_news" in problems[0]
-
-
-def test_compare_alloc_missing_python_version_fails():
-    committed = {"schema": "repro.bench_alloc/1",
-                 "python": {"0.0": {"steady_state": _steady()}}}
-    current = alloc_report(full=_steady())
-    problems = compare_alloc(current, committed)
-    assert problems and "regenerate" in problems[0].lower()
-
-
-def _perf_report(host, e2e_rate):
-    return {
-        "schema": "repro.bench/1",
-        "quick": True,
-        "host": host,
-        "benchmarks": {
-            "e2e_fig6_smoke": {
-                "cell": "c", "events": 1, "runtime_ps": 2,
-                "metrics_sha256": "abc",
-                "events_per_sec": e2e_rate,
-            },
-        },
-    }
-
-
-def test_compare_gates_timing_only_on_matching_host():
-    here = machine_fingerprint()
-    elsewhere = dict(here, machine="emu-riscv128")
-    fast, slow = _perf_report(here, 1000.0), _perf_report(here, 10.0)
-    assert any("events_per_sec" in p for p in compare(slow, fast))
-    # Same regression, but the baseline came from another machine:
-    # wall-clock is not comparable, deterministic fields still are.
-    foreign_fast = _perf_report(elsewhere, 1000.0)
-    assert compare(slow, foreign_fast) == []
-    foreign_drift = copy.deepcopy(foreign_fast)
-    foreign_drift["benchmarks"]["e2e_fig6_smoke"]["metrics_sha256"] = "xyz"
-    assert any("metrics_sha256" in p for p in compare(slow, foreign_drift))

@@ -435,6 +435,18 @@ def test_diff_missing_and_zero_keys_fail_gates():
     assert "zero" in why["counters.zero"]
 
 
+def test_gate_glob_matching_no_key_fails():
+    rows = diff_docs({"ticks": 3}, {"ticks": 3})
+    assert not apply_gates(rows, [("ticks", 0.0)])
+    (violation,) = apply_gates(rows, [("tickz", 0.0)])
+    assert violation["key"] == "tickz"
+    assert violation["gate"] == "tickz:0"
+    assert violation["why"] == "matches no key"
+    report = diff_report({"ticks": 3}, {"ticks": 3}, [("tickz*", 5.0)])
+    assert not report["ok"]
+    assert "GATE tickz*:5: tickz* matches no key" in render_diff_report(report)
+
+
 def test_parse_gate():
     assert parse_gate("counters.*:5") == ("counters.*", 5.0)
     assert parse_gate("series.link:a:bytes.last:0") == (
