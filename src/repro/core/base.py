@@ -446,3 +446,23 @@ class TokenCacheController:
 
     def _hook_gave_tokens(self, addr: int, dst: NodeId) -> None:
         """Called after tokens leave this cache (filter upkeep)."""
+
+
+# Machine-wide broadcast tables (``Network.dest_table``), keyed by
+# ``params.interleave_residue(addr)``: both depend only on the block's
+# home chip and L2 bank.  Each controller derives its own fan-out sets
+# from them, minus itself, and caches those per residue.
+def holders_and_home(net: Network, params: SystemParams, addr: int) -> Tuple[NodeId, ...]:
+    """Every cache that may hold tokens for ``addr``, then its home memory."""
+    return net.dest_table(
+        ("holders", params.interleave_residue(addr)),
+        lambda: (*params.token_holders(addr), params.home_mem(addr)),
+    )
+
+
+def home_banks(net: Network, params: SystemParams, addr: int) -> Tuple[NodeId, ...]:
+    """``addr``'s L2 bank on every chip, indexed by chip."""
+    return net.dest_table(
+        ("home_banks", params.interleave_residue(addr)),
+        lambda: [params.l2_bank(addr, chip) for chip in range(params.num_chips)],
+    )

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.rng import substream
 from repro.common.types import NodeId, NodeKind, classify_source
-from repro.core.base import TokenCacheController
+from repro.core.base import TokenCacheController, holders_and_home, home_banks
 from repro.core.predictor import ContentionPredictor
 from repro.core.timeout import TimeoutEstimator
 from repro.cpu.ops import Load, Rmw, Store, is_write
@@ -66,12 +66,12 @@ class TokenL1Controller(TokenCacheController):
         self._tx: Dict[int, Transaction] = {}
         # Destination sets, keyed by ``params.interleave_residue(addr)``:
         # one tuple per (residue, scope) instead of a rebuilt list on
-        # every miss.  Each tuple is interned by content through the
-        # network (``Network.intern_dests``), so equal sets share one
-        # tuple and one fan-out plan.
+        # every miss, derived from the machine-wide tables
+        # (``holders_and_home``, ``home_banks``).  Each tuple is interned
+        # by content through the network (``Network.intern_dests``), so
+        # equal sets share one tuple and one fan-out plan.
         self._dests_local: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_global: Dict[int, Tuple[NodeId, ...]] = {}
-        self._dests_flat: Dict[int, Tuple[NodeId, ...]] = {}
         self._pers_dests: Dict[int, Tuple[NodeId, ...]] = {}
 
     def _writeback_destination(self, addr: int) -> NodeId:
@@ -153,26 +153,21 @@ class TokenL1Controller(TokenCacheController):
         tx.timer = self.sim.schedule(self.estimator.threshold_ps(), self._on_timeout, tx)
 
     def _transient_destinations(self, addr: int, global_: bool) -> Tuple[NodeId, ...]:
-        key = self.params.interleave_residue(addr)
         if self.cfg.flat_policy:
-            # TokenB: flat broadcast to every cache in the machine.
-            cached = self._dests_flat.get(key)
-            if cached is not None:
-                return cached
-            dests = [n for n in self.params.token_holders(addr) if n != self.node]
-            dests.append(self.params.home_mem(addr))
-            self._dests_flat[key] = cached = self.net.intern_dests(tuple(dests))
-            return cached
+            # TokenB: flat broadcast to every other cache in the machine
+            # and home memory, i.e. the persistent set.
+            return self._persistent_broadcast_set(addr)
+        key = self.params.interleave_residue(addr)
         cache = self._dests_global if global_ else self._dests_local
         cached = cache.get(key)
         if cached is not None:
             return cached
+        banks = home_banks(self.net, self.params, addr)
+        own_bank = banks[self.chip]
         dests = [n for n in self.params.chip_l1s(self.chip) if n != self.node]
-        dests.append(self.params.l2_bank(addr, self.chip))
+        dests.append(own_bank)
         if global_:
-            for chip in self.params.all_chips():
-                if chip != self.chip:
-                    dests.append(self.params.l2_bank(addr, chip))
+            dests.extend(bank for bank in banks if bank != own_bank)
             dests.append(self.params.home_mem(addr))
         cache[key] = cached = self.net.intern_dests(tuple(dests))
         return cached
@@ -184,11 +179,9 @@ class TokenL1Controller(TokenCacheController):
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.tx_transient(self.node, tx.addr, global_, len(dests))
-        pool = self.pool
-        template = pool.acquire(mtype, self.node, self.node, tx.addr)
-        template.requestor = self.node
-        self.net.send_fanout(template, dests)
-        pool.release(template)
+        self.net.send_fanout(
+            Message(mtype, self.node, self.node, tx.addr, requestor=self.node), dests
+        )
 
     def _on_timeout(self, tx: Transaction) -> None:
         if self._tx.get(tx.addr) is not tx:
@@ -294,14 +287,11 @@ class TokenL1Controller(TokenCacheController):
                 proc=self.proc, requestor=self.node, addr=tx.addr, read=read, prio=self.prio
             )
         )
-        pool = self.pool
-        template = pool.acquire(MsgType.PERSIST_ACTIVATE, self.node, self.node, tx.addr)
-        template.requestor = self.node
-        template.prio = self.prio
-        template.read = read
-        template.extra = self.proc
+        template = Message(
+            MsgType.PERSIST_ACTIVATE, self.node, self.node, tx.addr,
+            requestor=self.node, prio=self.prio, read=read, extra=self.proc,
+        )
         self.net.send_fanout(template, self._persistent_broadcast_set(tx.addr))
-        pool.release(template)
         self._token_state_changed(tx.addr)
 
     def _persistent_broadcast_set(self, addr: int) -> Tuple[NodeId, ...]:
@@ -309,9 +299,10 @@ class TokenL1Controller(TokenCacheController):
         cached = self._pers_dests.get(key)
         if cached is not None:
             return cached
-        dests = [n for n in self.params.token_holders(addr) if n != self.node]
-        dests.append(self.params.home_mem(addr))
-        self._pers_dests[key] = cached = self.net.intern_dests(tuple(dests))
+        holders = holders_and_home(self.net, self.params, addr)
+        self._pers_dests[key] = cached = self.net.intern_dests(
+            tuple(n for n in holders if n != self.node)
+        )
         return cached
 
     def _deactivate(self, tx: Transaction) -> None:
@@ -337,12 +328,11 @@ class TokenL1Controller(TokenCacheController):
             )
         self.table.remove(self.proc, tx.addr)
         self.table.mark_all_for(tx.addr)
-        pool = self.pool
-        template = pool.acquire(MsgType.PERSIST_DEACTIVATE, self.node, self.node, tx.addr)
-        template.requestor = self.node
-        template.extra = self.proc
+        template = Message(
+            MsgType.PERSIST_DEACTIVATE, self.node, self.node, tx.addr,
+            requestor=self.node, extra=self.proc,
+        )
         self.net.send_fanout(template, self._persistent_broadcast_set(tx.addr))
-        pool.release(template)
 
     def _on_deactivate(self, msg: Message) -> None:
         super()._on_deactivate(msg)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.common.types import NodeId, NodeKind
-from repro.core.base import TokenCacheController
+from repro.core.base import TokenCacheController, home_banks
 from repro.core.filter import SharerFilter
 from repro.core.ledger import ChipTokenLedger
 from repro.interconnect.message import Message, MsgType
@@ -40,9 +40,10 @@ class TokenL2Controller(TokenCacheController):
         self.destset = None
         # Fan-out sets: the chip's L1 population is fixed, and the
         # all-chips escalation set depends only on the block's home chip
-        # and bank, so it is keyed by ``params.interleave_residue(addr)``
-        # and interned by content (``Network.intern_dests``): equal sets
-        # share one tuple and one fan-out plan.
+        # and bank, so it is keyed by ``params.interleave_residue(addr)``,
+        # derived from the machine's ``home_banks`` table and interned by
+        # content (``Network.intern_dests``): equal sets share one tuple
+        # and one fan-out plan.
         self._local_l1s: Tuple[NodeId, ...] = tuple(self.params.chip_l1s(self.chip))
         self._esc_dests: Dict[int, Tuple[NodeId, ...]] = {}
 
@@ -92,7 +93,8 @@ class TokenL2Controller(TokenCacheController):
             if predicted is not None:
                 multicast = True
                 self.stats.bump("l2.multicasts")
-                dests = [self.params.l2_bank(addr, chip) for chip in predicted]
+                banks = home_banks(self.net, self.params, addr)
+                dests = [banks[chip] for chip in predicted]
                 dests.append(self.params.home_mem(addr))
         if dests is None:
             dests = self._escalation_destinations(addr)
@@ -102,20 +104,15 @@ class TokenL2Controller(TokenCacheController):
                 msg.requestor, addr,
                 via=self.node, ndests=len(dests), multicast=multicast,
             )
-        template = self._forward_template(msg)
-        self.net.send_fanout(template, dests)
-        self.pool.release(template)
+        self.net.send_fanout(self._forward_template(msg), dests)
 
     def _escalation_destinations(self, addr: int) -> Tuple[NodeId, ...]:
         """Every other CMP's home bank for ``addr``, then home memory."""
         key = self.params.interleave_residue(addr)
         cached = self._esc_dests.get(key)
         if cached is None:
-            dests = [
-                self.params.l2_bank(addr, chip)
-                for chip in self.params.all_chips()
-                if chip != self.chip
-            ]
+            banks = home_banks(self.net, self.params, addr)
+            dests = [bank for bank in banks if bank.chip != self.chip]
             dests.append(self.params.home_mem(addr))
             self._esc_dests[key] = cached = self.net.intern_dests(tuple(dests))
         return cached
@@ -130,16 +127,11 @@ class TokenL2Controller(TokenCacheController):
             dests = l1s
         if not dests:
             return
-        template = self._forward_template(msg)
-        self.net.send_fanout(template, dests)
-        self.pool.release(template)
+        self.net.send_fanout(self._forward_template(msg), dests)
 
     def _forward_template(self, msg: Message) -> Message:
-        """Pooled template for fanning ``msg`` out; the caller clones it
-        per destination (``send_fanout``) and releases it afterwards."""
-        template = self.pool.acquire(msg.mtype, self.node, self.node, msg.addr)
-        template.requestor = msg.requestor
-        return template
+        """The template for fanning ``msg`` out, handed to ``send_fanout``."""
+        return Message(msg.mtype, self.node, self.node, msg.addr, requestor=msg.requestor)
 
     # ------------------------------------------------------------------
     def _hook_absorbed(self, msg: Message) -> None:

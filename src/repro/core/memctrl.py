@@ -15,6 +15,7 @@ from typing import Dict, Set, Tuple
 from repro.common.params import SystemParams
 from repro.common.stats import Stats
 from repro.common.types import NodeId
+from repro.core.base import holders_and_home
 from repro.core.persistent import PersistentEntry, PersistentTable, persistent_read_share
 from repro.interconnect.message import Message, MessagePool, MsgType
 from repro.interconnect.network import Network
@@ -106,7 +107,7 @@ class TokenMemController:
     def recreating_blocks(self) -> Tuple[Tuple[int, int, int], ...]:
         """(addr, epoch, outstanding acks) per in-progress recreation."""
         return tuple(
-            (addr, rec.epoch, len(self.params.token_holders(addr)) - len(rec.acked))
+            (addr, rec.epoch, self.params.num_caches - len(rec.acked))
             for addr, rec in sorted(self._recreating.items())
         )
 
@@ -190,17 +191,13 @@ class TokenMemController:
 
     def _broadcast_epoch(self, addr: int, rec: _Recreation,
                          only_unacked: bool = False) -> None:
-        pool = self.pool
-        template = pool.acquire(MsgType.TOK_RECREATE_EPOCH, self.node, self.node, addr)
-        template.epoch = rec.epoch
-        self.net.send_fanout(
-            template,
-            (
-                dst for dst in self.params.token_holders(addr)
-                if not (only_unacked and dst in rec.acked)
-            ),
+        template = Message(
+            MsgType.TOK_RECREATE_EPOCH, self.node, self.node, addr, epoch=rec.epoch
         )
-        pool.release(template)
+        holders = holders_and_home(self.net, self.params, addr)[:-1]  # not memory
+        if only_unacked:
+            holders = tuple(dst for dst in holders if dst not in rec.acked)
+        self.net.send_fanout(template, holders)
 
     def _on_recreate_ack(self, msg: Message) -> None:
         addr = msg.addr
@@ -213,7 +210,7 @@ class TokenMemController:
             # canonical value and must seed the recreated block.
             assert msg.data is not None, "owner surrender must carry data"
             self.image.write(addr, msg.data)
-        if len(rec.acked) == len(self.params.token_holders(addr)):
+        if len(rec.acked) == self.params.num_caches:  # every token holder
             self._finish_recreation(addr, rec)
 
     def _finish_recreation(self, addr: int, rec: _Recreation) -> None:

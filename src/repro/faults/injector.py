@@ -186,7 +186,11 @@ class FaultyNetwork:
 
     def send_fanout(self, template: Message, dests) -> None:
         # One addressed clone per destination: ``_on_arrival`` keys the
-        # persistent FIFO clamp on ``msg.dst``.
+        # persistent FIFO clamp on ``msg.dst``.  The template contract is
+        # ``Network.send_fanout``'s, so a faulty machine refuses the
+        # same pooled templates.
+        if "_pooled" in template.__dict__:
+            raise ValueError(f"send_fanout was handed a pooled template: {template}")
         self._inner.send_clones(template, dests)
 
     def send(self, msg: Message) -> None:

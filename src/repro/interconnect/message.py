@@ -169,12 +169,16 @@ def pooling_enabled() -> bool:
 class MessagePool:
     """Freelist of recyclable :class:`Message` instances.
 
-    The steady-state lifecycle is: a controller *acquires* a message (or
-    stamps a broadcast template into pooled *clones*), the network routes
-    it, and the receiving controller *releases* it once its ``_process``
-    dispatch returns.  A released instance goes back on the freelist and
-    is reused by a later acquire — so in steady state the message rate is
-    serviced with zero allocations.
+    The steady-state lifecycle is: a controller *acquires* a message, the
+    network routes it, and the receiving controller *releases* it once
+    its ``_process`` dispatch returns.  A released instance goes back on
+    the freelist and is reused by a later acquire — so in steady state
+    point-to-point messages are serviced with zero pool constructions.
+    Broadcast templates are not pooled: a controller builds a plain
+    :class:`Message` and hands it to ``Network.send_fanout``, which
+    delivers that one object to every destination untraced (and refuses
+    a pooled one), or stamps it into pooled *clones* (:meth:`clone`)
+    when traced or faulted.
 
     Discipline (checked by the ``pool-discipline`` staticcheck pass and
     the aliasing tests):

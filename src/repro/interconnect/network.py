@@ -41,7 +41,10 @@ precomputed at construction time:
 * **integer link serialization** — each :class:`Link` folds its
   bandwidth into an exact integer numerator/denominator pair at
   construction, so ``traverse`` is pure integer arithmetic (no float
-  rounding, no platform-dependent timing);
+  rounding, no platform-dependent timing), and the network stores each
+  link's delay for its two wire sizes (``ser_ctrl``/``ser_data``, from
+  :meth:`Link.serialization_ps`), so an inlined hop reads it instead of
+  dividing;
 * **relayed lookup hops** — an endpoint registered with a relay
   (``register(node, handle, relay_ps, callee)``) is delivered through
   :meth:`Simulator.relay_at`: the kernel performs the entry point's
@@ -49,8 +52,9 @@ precomputed at construction time:
   costs one Python frame (the callee's) with the same events in the
   same ``(time, seq)`` order;
 * **one shared broadcast message** — untraced and unfaulted,
-  ``send_fanout`` delivers one read-only copy of its template to every
-  destination instead of one pooled clone each;
+  ``send_fanout`` delivers its template itself, read-only, to every
+  destination instead of one pooled clone each; the template is a
+  plain :class:`Message`, never pool-owned;
 * **a closed-form first hop** — every route of a broadcast leaves on
   the sender's one egress link, so ``send_fanout`` charges that link
   once per fan-out: copy *k* (from 0) leaves it at ``max(now,
@@ -63,9 +67,11 @@ precomputed at construction time:
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappush
-from itertools import islice
-from typing import Callable, Dict, Optional, Tuple
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
@@ -81,7 +87,7 @@ class Link:
 
     __slots__ = (
         "name", "scope", "latency_ps", "bytes_per_ns", "busy_until",
-        "bytes_carried", "_ser_num", "_ser_den", "plain",
+        "bytes_carried", "_ser_num", "_ser_den", "plain", "ser_ctrl", "ser_data",
     )
 
     def __init__(self, name: str, scope: Scope, latency_ps: int, bytes_per_ns: float):
@@ -103,6 +109,11 @@ class Link:
         num, den = float(bytes_per_ns).as_integer_ratio()
         self._ser_num = 1000 * den
         self._ser_den = num
+        # ``serialization_ps`` of the machine's control and data wire
+        # sizes, stored by the owning :class:`Network` (None on a
+        # standalone link, whose ``traverse`` never reads them).
+        self.ser_ctrl: Optional[int] = None
+        self.ser_data: Optional[int] = None
 
     def serialization_ps(self, nbytes: int) -> int:
         """Exact integer serialization delay for ``nbytes`` on this link.
@@ -196,6 +207,9 @@ class Network:
         # the introspectable statement of the sizing rule.
         self._data_bytes: int = params.data_msg_bytes
         self._ctrl_bytes: int = params.control_msg_bytes
+        for link in self._links.values():
+            link.ser_ctrl = link.serialization_ps(self._ctrl_bytes)
+            link.ser_data = link.serialization_ps(self._data_bytes)
         self._msg_size: Dict[MsgType, int] = {
             mtype: (self._data_bytes if mtype.has_data else self._ctrl_bytes)
             for mtype in MsgType
@@ -223,6 +237,9 @@ class Network:
         self._fanout_plans: Dict[NodeId, Dict[int, tuple]] = {}
         # Destination set -> the one equal tuple every caller shares.
         self._dest_sets: Dict[Tuple[NodeId, ...], Tuple[NodeId, ...]] = {}
+        # Caller key -> a destination tuple built once per machine
+        # (``dest_table``).
+        self._dest_tables: Dict[Hashable, Tuple[NodeId, ...]] = {}
 
     def _build_links(self) -> None:
         """Instantiate one :class:`Link` per compiled :class:`LinkSpec`."""
@@ -244,6 +261,20 @@ class Network:
         controllers) are one object and share one ``send_fanout`` plan.
         """
         return self._dest_sets.setdefault(dests, dests)
+
+    def dest_table(self, key: Hashable,
+                   build: Callable[[], Iterable[NodeId]]) -> Tuple[NodeId, ...]:
+        """The machine's destination tuple for ``key``, built on first use.
+
+        Controllers that derive their own sets from one machine-wide set
+        (every token holder of a block, its home banks across chips)
+        share it here, so ``build()`` runs once per key per machine
+        instead of once per controller.
+        """
+        dests = self._dest_tables.get(key)
+        if dests is None:
+            dests = self._dest_tables[key] = tuple(build())
+        return dests
 
     # ------------------------------------------------------------------
     def register(self, node: NodeId, handler: Handler, relay_ps: int = 0,
@@ -272,7 +303,8 @@ class Network:
         if endpoint is None:
             raise ConfigError(f"no endpoint registered for {dst}")
         mtype = msg.mtype
-        nbytes = self._data_bytes if mtype.has_data else self._ctrl_bytes
+        data = mtype.has_data
+        nbytes = self._data_bytes if data else self._ctrl_bytes
         src = msg.src
         by_dst = self._route_row(src)
         route = None if by_dst is None else by_dst.get(dst)
@@ -287,12 +319,11 @@ class Network:
         mmsgs = self._meter_msgs
         for link in route:
             if link.plain:
-                # Inlined Link.traverse (identical integer arithmetic):
-                # the plain link is the whole fabric in steady state, and
-                # skipping the method call pays on every hop.
-                ser = -(-nbytes * link._ser_num // link._ser_den)
-                if ser < 1:
-                    ser = 1
+                # Inlined Link.traverse, with the serialization stored
+                # per wire size: the plain link is the whole fabric in
+                # steady state, and skipping the method call pays on
+                # every hop.
+                ser = link.ser_data if data else link.ser_ctrl
                 begin = link.busy_until
                 if arrival > begin:
                     begin = arrival
@@ -317,14 +348,17 @@ class Network:
     def send_fanout(self, template: Message, dests) -> None:
         """Deliver ``template`` to every destination in ``dests``.
 
-        Untraced, every destination receives one shared read-only copy of
-        ``template`` (its ``dst`` and ``uid`` are the template's, and it
-        is not pool-owned, so the receivers' release is a no-op).
+        The caller hands the template over: it builds a plain
+        :class:`Message` (drawing one uid) and never touches it again.
+        Untraced, every destination receives the template itself,
+        read-only: its ``dst`` and ``uid`` are the sender's, and the
+        receivers' release is a no-op because it is not pool-owned.
         Receivers never read ``dst``/``uid``, mutate or keep a message
         (pool discipline), so sharing is invisible.  One ``uid`` is
         still drawn per destination, as a per-destination clone would,
-        so every later uid is unchanged.  The template stays with the
-        caller, which releases it after the fan-out.
+        so every later uid is unchanged.  A pool-owned template raises
+        :class:`ValueError`: the pool would recycle it while receivers
+        still hold it.
 
         Traced, each destination gets its own pooled clone so the
         tracer sees per-message ids (:meth:`send_clones`).  Fault
@@ -333,10 +367,14 @@ class Network:
         bumps) never carry tokens, but the fault injector keys its
         persistent FIFO clamp on each message's ``dst``.
         """
+        if "_pooled" in template.__dict__:
+            raise ValueError(f"send_fanout was handed a pooled template: {template}")
         sim = self.sim
         if sim.tracer is not None:
             self.send_clones(template, dests)
             return
+        if dests.__class__ is not tuple:
+            dests = tuple(dests)  # a generator can be read only once
         # Every destination shares the template's src/mtype, so the route
         # row, wire size and metering keys are resolved once for the
         # whole fan-out instead of per destination, and the (endpoint,
@@ -368,17 +406,14 @@ class Network:
         if not n:
             return
         mtype = template.mtype
-        nbytes = self._data_bytes if mtype.has_data else self._ctrl_bytes
+        data = mtype.has_data
+        nbytes = self._data_bytes if data else self._ctrl_bytes
         keys = self._meter_keys[mtype.klass]
         mbytes = self._meter_bytes
         mmsgs = self._meter_msgs
         for scope, nlinks in scope_links:
             mbytes[keys[scope]] += nbytes * nlinks
             mmsgs[scope] += nlinks
-        shared = Message.__new__(Message)
-        shared_dict = shared.__dict__
-        shared_dict.update(template.__dict__)
-        shared_dict.pop("_pooled", None)
         # One uid per destination, drawn at once (a per-destination clone
         # would draw the same ``n``).
         next(islice(_msg_ids, n - 1, None))
@@ -401,9 +436,7 @@ class Network:
             # reaches the next node at begin + (k+1)*ser + latency, exactly
             # what n inlined traversals would compute.  ``first`` is on no
             # route's tail, so charging it up front changes no tail hop.
-            ser = -(-nbytes * first._ser_num // first._ser_den)
-            if ser < 1:
-                ser = 1
+            ser = first.ser_data if data else first.ser_ctrl
             begin = first.busy_until
             if now > begin:
                 begin = now
@@ -417,9 +450,7 @@ class Network:
                 if link is first:  # charged above
                     continue
                 if link.plain:
-                    ser_l = -(-nbytes * link._ser_num // link._ser_den)
-                    if ser_l < 1:
-                        ser_l = 1
+                    ser_l = link.ser_data if data else link.ser_ctrl
                     start = link.busy_until
                     if arrival > start:
                         start = arrival
@@ -435,12 +466,12 @@ class Network:
                 event[0] = arrival
                 event[1] = seq
                 event[2] = handler
-                event[3] = shared
+                event[3] = template
                 event[4] = relay_ps
                 event[5] = callee
             else:
                 sim.event_news += 1
-                event = [arrival, seq, handler, shared, relay_ps, callee]
+                event = [arrival, seq, handler, template, relay_ps, callee]
             heappush(queue, event)
         sim._seq = seq
         sim._pending += n
@@ -452,7 +483,7 @@ class Network:
         for dst in dests:
             send(clone(template, dst))
 
-    def _build_fanout_plan(self, src: NodeId, dests):
+    def _build_fanout_plan(self, src: NodeId, dests: Tuple[NodeId, ...]):
         """Resolve a broadcast's per-destination (endpoint, route) pairs.
 
         Returns ``(dests, pairs, scope_links, first)`` — the dests tuple
@@ -467,30 +498,31 @@ class Network:
         result is ``None`` when any destination lacks a route or a
         registered endpoint (the caller falls back to per-destination
         ``send``, which raises :class:`ConfigError` naming the offending
-        pair).
+        pair).  Every pass over the destinations runs in C (``map``,
+        ``zip``, ``Counter``); Python code loops only over distinct links.
         """
         by_dst = self._route_row(src)
         if by_dst is None:
             return None
-        endpoint_of = self._endpoint_of
-        pairs = []
+        endpoints = tuple(map(self._endpoint_of, dests))
+        routes = tuple(map(by_dst.get, dests))
+        if None in endpoints or None in routes:
+            return None
+        # Uses per link, in first-use order, so the scopes below keep the
+        # order a per-hop walk would meet them in.
+        uses = Counter(chain.from_iterable(routes))
         counts: Dict[Scope, int] = {}
-        for dst in dests:
-            route = by_dst.get(dst)
-            endpoint = endpoint_of(dst)
-            if route is None or endpoint is None:
-                return None
-            pairs.append((endpoint, route))
-            for link in route:
-                scope = link.scope
-                counts[scope] = counts.get(scope, 0) + 1
-        first = pairs[0][1][0] if pairs and pairs[0][1] else None
-        if first is not None and not (first.plain and all(
-            route and route[0] is first and first not in route[1:]
-            for _endpoint, route in pairs
-        )):
-            first = None
-        return (dests, tuple(pairs), tuple(counts.items()), first)
+        for link, k in uses.items():
+            counts[link.scope] = counts.get(link.scope, 0) + k
+        first = None
+        if () not in routes:  # an empty route (src among dests) has no hop
+            heads = set(map(itemgetter(0), routes))
+            if len(heads) == 1:
+                (head,) = heads
+                # Used once per route, i.e. only as its head.
+                if head.plain and uses[head] == len(routes):
+                    first = head
+        return (dests, tuple(zip(endpoints, routes)), tuple(counts.items()), first)
 
     def release(self, msg: Message) -> None:
         """Return a delivered pooled message to the pool (no-op for

@@ -2,10 +2,14 @@
 
 Every deterministic export in the repository — ``repro.metrics/1``,
 ``repro.telemetry/1``, ``repro.bench_work/1``, profiler projections —
-is a tree of numeric leaves under stable keys.  This module flattens two
-such documents into ``dotted.path -> number`` maps, reports per-counter
+is a tree of leaves under stable keys.  This module flattens two such
+documents into ``dotted.path -> value`` maps, reports per-counter
 deltas, and applies a configurable regression gate (``GLOB:PCT`` rules,
 as in ``python -m repro diff a.json b.json --gate 'counters.*:5'``).
+Numbers keep their value; identity leaves (strings, bools, nulls) and
+whole lists are compared by their canonical JSON text, so a renamed
+cell or a changed digest is a changed row that any matching gate
+rejects, whatever its tolerance.
 
 Telemetry documents get a schema-aware projection first (end-of-run
 value and peak per series, window counts per saturation kind) — diffing
@@ -20,7 +24,9 @@ import fnmatch
 import json
 from typing import Dict, List, Optional, Tuple, Union
 
-Number = Union[int, float]
+#: A flattened leaf: a number, or the canonical JSON text of an identity
+#: leaf or a whole list.
+Value = Union[int, float, str]
 
 #: Schema identifier for the JSON diff report.
 DIFF_SCHEMA = "repro.diff/1"
@@ -29,32 +35,30 @@ DIFF_SCHEMA = "repro.diff/1"
 # ---------------------------------------------------------------------------
 # Flattening.
 # ---------------------------------------------------------------------------
-def _flatten_generic(node, prefix: str, out: Dict[str, Number]) -> None:
-    if isinstance(node, bool):
-        return  # bools are ints in Python; never meaningful as counters
-    if isinstance(node, (int, float)):
-        out[prefix] = node
-        return
+def _flatten_generic(node, prefix: str, out: Dict[str, Value]) -> None:
     if isinstance(node, dict):
         for key in node:
             sub = f"{prefix}.{key}" if prefix else str(key)
             _flatten_generic(node[key], sub, out)
         return
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        out[prefix] = node
+        return
     if isinstance(node, list):
-        # A numeric list is summarized, not exploded: index-addressed
-        # entries make diffs unreadable and length changes meaningless.
+        # Beside the list's own text row, a numeric summary that
+        # tolerance gates can bound.
         numbers = [v for v in node if isinstance(v, (int, float))
                    and not isinstance(v, bool)]
-        if prefix:
-            out[f"{prefix}.len"] = len(node)
-            if numbers and len(numbers) == len(node):
-                out[f"{prefix}.last"] = numbers[-1]
-        return
-    # Strings / nulls carry identity, not magnitude — skipped.
+        out[f"{prefix}.len"] = len(node)
+        if numbers and len(numbers) == len(node):
+            out[f"{prefix}.last"] = numbers[-1]
+    # Strings, bools, nulls and whole lists carry identity: compared by
+    # their canonical text.
+    out[prefix] = json.dumps(node, sort_keys=True, separators=(",", ":"))
 
 
-def _flatten_telemetry(doc: dict) -> Dict[str, Number]:
-    out: Dict[str, Number] = {
+def _flatten_telemetry(doc: dict) -> Dict[str, Value]:
+    out: Dict[str, Value] = {
         "ticks": doc["ticks"],
         "dropped_ticks": doc["dropped_ticks"],
         "samples": len(doc["t_ps"]),
@@ -77,13 +81,13 @@ def _flatten_telemetry(doc: dict) -> Dict[str, Number]:
     return out
 
 
-def flatten_doc(doc: dict) -> Dict[str, Number]:
-    """``dotted.path -> number`` projection of a canonical document."""
+def flatten_doc(doc: dict) -> Dict[str, Value]:
+    """``dotted.path -> value`` projection of a canonical document."""
     from repro.obs.telemetry import TELEMETRY_SCHEMA
 
     if doc.get("schema") == TELEMETRY_SCHEMA:
         return _flatten_telemetry(doc)
-    out: Dict[str, Number] = {}
+    out: Dict[str, Value] = {}
     _flatten_generic(doc, "", out)
     out.pop("schema", None)
     return out
@@ -96,17 +100,19 @@ def diff_docs(a: dict, b: dict) -> List[dict]:
     """Per-counter comparison rows over the union of flattened keys.
 
     Each row: ``{"key", "a", "b", "delta", "ratio"}`` — ``a``/``b`` are
-    ``None`` for keys present on only one side; ``ratio`` is ``b / a``
-    (``None`` when undefined).  Rows are sorted by key.
+    ``None`` for keys present on only one side; ``delta`` and ``ratio``
+    (``b / a``) are ``None`` when undefined, which they are whenever a
+    side is text.  Rows are sorted by key.
     """
     fa, fb = flatten_doc(a), flatten_doc(b)
     rows = []
     for key in sorted(set(fa) | set(fb)):
         va, vb = fa.get(key), fb.get(key)
-        delta = vb - va if va is not None and vb is not None else None
-        ratio = None
-        if va is not None and vb is not None and va != 0:
-            ratio = vb / va
+        delta = ratio = None
+        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
+            delta = vb - va
+            if va != 0:
+                ratio = vb / va
         rows.append({"key": key, "a": va, "b": vb,
                      "delta": delta, "ratio": ratio})
     return rows
@@ -134,9 +140,9 @@ def apply_gates(rows: List[dict], gates: List[Tuple[str, float]]
     change ``|b - a| / |a|`` exceeds ``pct / 100`` — or when the key is
     missing on either side, or appeared from zero (both undefined
     relative changes, treated as failures: a gated counter must exist
-    and stay comparable).  A glob that matches no key at all is a
-    violation too (keyed by the glob), so a misspelled or renamed key
-    cannot switch its gate off.
+    and stay comparable), or when a text row changed at all.  A glob
+    that matches no key at all is a violation too (keyed by the glob),
+    so a misspelled or renamed key cannot switch its gate off.
     """
     violations = []
     for glob, pct in gates:
@@ -148,6 +154,10 @@ def apply_gates(rows: List[dict], gates: List[Tuple[str, float]]
             va, vb = row["a"], row["b"]
             if va is None or vb is None:
                 why = "missing on one side"
+            elif isinstance(va, str) or isinstance(vb, str):
+                if va == vb:
+                    continue
+                why = "changed identity"
             elif va == 0:
                 if vb == 0:
                     continue
@@ -172,8 +182,7 @@ def diff_report(a: dict, b: dict,
     """The full ``repro.diff/1`` document for two canonical JSON docs."""
     rows = diff_docs(a, b)
     violations = apply_gates(rows, gates or [])
-    changed = [r for r in rows if r["delta"] not in (0, None)
-               or r["a"] is None or r["b"] is None]
+    changed = [r for r in rows if r["a"] != r["b"]]
     return {
         "schema": DIFF_SCHEMA,
         "schema_a": a.get("schema"),
@@ -195,13 +204,12 @@ def render_diff_report(report: dict, show_all: bool = False) -> str:
             return "-"
         if isinstance(value, float):
             return f"{value:.6g}"
+        if isinstance(value, str) and len(value) > 40:
+            return value[:37] + "..."
         return str(value)
 
     rows = report["rows"]
-    shown = rows if show_all else [
-        r for r in rows
-        if r["delta"] not in (0, None) or r["a"] is None or r["b"] is None
-    ]
+    shown = rows if show_all else [r for r in rows if r["a"] != r["b"]]
     lines = [
         f"diff: {report['keys']} keys, {report['changed']} changed"
         + (f", {len(report['violations'])} gate violation(s)"

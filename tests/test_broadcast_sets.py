@@ -4,8 +4,8 @@ The token controllers cache their fan-out destination tuples by the
 block's residue, ``block_index % (num_chips * l2_banks_per_chip)``: it
 fixes the home chip and the L2 bank, which are all a set depends on.
 These tests rebuild every set per address from ``SystemParams`` and
-compare, then pin the work the residue keys and ``CacheArray.peek`` save
-on the fig6 smoke cell.
+compare, then pin the work the residue keys, the machine-wide tables
+and ``CacheArray.peek`` save on the fig6 smoke cell.
 """
 
 import pytest
@@ -71,7 +71,7 @@ def test_cached_destination_sets_equal_the_per_address_sets(name):
             assert list(l2._escalation_destinations(addr)) == _escalation(params, l2.node, addr)
     # One cached tuple per residue and scope, however many blocks asked.
     for l1 in l1s:
-        for cache in (l1._dests_local, l1._dests_global, l1._dests_flat, l1._pers_dests):
+        for cache in (l1._dests_local, l1._dests_global, l1._pers_dests):
             assert len(cache) in (0, residues)
     assert all(len(l2._esc_dests) == residues for l2 in l2s)
 
@@ -94,9 +94,20 @@ def _counted_run(monkeypatch, owner, name):
 
 
 def test_chip_l1s_budget(monkeypatch):
-    # Destination sets are built once per residue: 560 calls (set-up and
-    # the persistent sets), against 1,853 when they were keyed by block.
-    assert _counted_run(monkeypatch, SystemParams, "chip_l1s") <= 700
+    # Destination sets are built once per residue: 444 calls (set-up, the
+    # local sets and the machine's holder table), against 1,853 when
+    # they were keyed by block and 560 when each L1 built its own
+    # holder list.
+    assert _counted_run(monkeypatch, SystemParams, "chip_l1s") <= 500
+
+
+def test_machine_table_budgets(monkeypatch):
+    # The holder and home-bank tables are built once per residue per
+    # machine, not per controller: 14 ``token_holders`` calls (43 when
+    # every L1 built its own) and 293 ``l2_bank`` calls (905).
+    assert _counted_run(monkeypatch, SystemParams, "token_holders") <= 16
+    monkeypatch.undo()
+    assert _counted_run(monkeypatch, SystemParams, "l2_bank") <= 350
 
 
 def test_cache_lookup_budget(monkeypatch):

@@ -11,8 +11,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from repro.__main__ import main as cli_main
 
 from repro.exp.library import fig6_smoke_cell, mesh_params
 from repro.exp.runner import Runner, run_cell
@@ -381,7 +384,12 @@ def test_flatten_metrics_document():
     flat = flatten_doc(res.metrics())
     assert flat["counters.l1.misses"] == res.get("l1.misses")
     assert "schema" not in flat
-    assert all(isinstance(v, (int, float)) for v in flat.values())
+    # Identity leaves are kept as canonical JSON text, every other leaf
+    # as its number.
+    assert flat["protocol"] == '"TokenCMP-dst1"'
+    assert flat["workload"] == '"oltp"'
+    assert all(isinstance(v, (int, float)) for k, v in flat.items()
+               if k not in ("protocol", "workload"))
 
 
 def test_flatten_telemetry_is_schema_aware():
@@ -445,6 +453,42 @@ def test_gate_glob_matching_no_key_fails():
     report = diff_report({"ticks": 3}, {"ticks": 3}, [("tickz*", 5.0)])
     assert not report["ok"]
     assert "GATE tickz*:5: tickz* matches no key" in render_diff_report(report)
+
+
+def test_identity_leaves_and_lists_are_gated(tmp_path, capsys):
+    # A copy of the committed work report with its digest zeroed and its
+    # cell renamed used to diff as "0 changed" and pass ``*:0``.
+    committed = Path(__file__).resolve().parent.parent / "BENCH_work.json"
+    a = json.loads(committed.read_text(encoding="utf-8"))
+    b = json.loads(json.dumps(a))
+    b["work"]["metrics_sha256"] = "0" * 64
+    b["work"]["cell"] = "TokenCMP-dst1/oltp[refs=121,seed=1]"
+    report = diff_report(a, b, [("*", 0.0)])
+    assert not report["ok"]
+    assert report["changed"] == 2
+    assert {v["key"] for v in report["violations"]} == {
+        "work.metrics_sha256", "work.cell"}
+    assert all(v["why"] == "changed identity" for v in report["violations"])
+    # A text row fails any gate that matches it, whatever its tolerance.
+    assert apply_gates(diff_docs(a, b), [("work.cell", 1000.0)])
+    assert diff_report(a, a, [("*", 0.0)])["ok"]
+    # Bools, nulls and whole lists are compared by their text too: a
+    # drift in an early window is caught, not only in the last one.
+    c = json.loads(json.dumps(a))
+    c["steady_state"]["pool_news"][0] = 1
+    c["steady_state"]["pooling_enabled"] = False
+    rows = {r["key"]: r for r in diff_docs(a, c)}
+    assert rows["steady_state.pool_news"]["b"].startswith("[1,0,")
+    assert rows["steady_state.pool_news.last"]["delta"] == 0
+    assert rows["steady_state.pooling_enabled"]["a"] == "true"
+    assert rows["steady_state.pooling_enabled"]["b"] == "false"
+    assert diff_report(a, c)["changed"] == 2
+    assert flatten_doc({"x": None})["x"] == "null"
+    # The CLI exits 1 on the violation.
+    copy = tmp_path / "work.json"
+    copy.write_text(json.dumps(b, indent=2, sort_keys=True), encoding="utf-8")
+    assert cli_main(["diff", str(committed), str(copy), "--gate", "*:0"]) == 1
+    assert "GATE *:0: work.cell changed identity" in capsys.readouterr().out
 
 
 def test_parse_gate():
