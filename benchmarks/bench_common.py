@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.analysis.report import ResultTable
 from repro.common.params import SystemParams
-from repro.exp.library import EXPERIMENTS
+from repro.exp.library import EXPERIMENTS, render_text
 from repro.exp.runner import ExperimentResult, Runner
 from repro.exp.spec import Cell, ExperimentSpec
 
@@ -79,12 +79,12 @@ def run_library(exp_id: str):
 def emit(name: str, tables: Iterable[ResultTable]) -> str:
     """Print tables and persist them under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    text = "\n\n".join(t.render() for t in tables)
+    text = render_text(tables)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
     print()
-    print(text)
+    print(text, end="")
     return text
 
 

@@ -1,4 +1,4 @@
-"""Robustness battery bench: the correctness substrate under an adversary.
+"""Robustness bench: the correctness substrate under an adversary.
 
 Not a figure from the paper; it measures the claim behind all of them
 (Sections 3 & 7): token counting plus persistent requests keep TokenCMP
@@ -8,23 +8,21 @@ contention micro-benchmarks with the liveness watchdog and the continuous
 token-conservation monitor armed, and reports the slowdown faults cost —
 retries and persistent escalations, never correctness.
 
-The same sweep is available as ``python -m repro faults``; the slow pytest
-variant lives in ``tests/test_robustness_battery.py`` behind ``-m tier2``.
+The grid is the ``robustness`` entry of :mod:`repro.exp.library`, also
+runnable as ``python -m repro faults`` (which writes the same bytes to
+``benchmarks/results/robustness_battery.txt``); the slow pytest variants
+live in ``tests/test_robustness_battery.py`` behind ``-m tier2``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bench_common import CACHE_DIR, emit, engine_jobs, engine_use_cache
-from repro.faults.battery import run_robustness_battery
+from bench_common import emit, run_library
 
 
 def run_experiment():
-    return run_robustness_battery(
-        scale=1.0, seed=1,
-        jobs=engine_jobs(), cache=engine_use_cache(), cache_dir=CACHE_DIR,
-    )
+    return run_library("robustness")[1]
 
 
 @pytest.mark.benchmark(group="robustness")
@@ -32,8 +30,8 @@ def test_robustness_battery(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     emit("robustness_battery", tables)
 
-    # The battery itself raises on any completion / conservation /
-    # bounded-slowdown violation; assert the summary shape on top.
+    # The renderer itself raises on any completion / conservation /
+    # bounded-slowdown / watchdog failure; assert the summary shape on top.
     summary = tables[-1]
     runs, completed, _checks, violations, trips, _spurious = summary.rows[0]
     assert runs == completed

@@ -17,7 +17,8 @@ Commands:
 * ``verify``  — model-check the protocol models (Section 5)
 * ``lint``    — run the protocol-aware static analysis passes over the
   simulator's own source (``docs/static-analysis.md``)
-* ``faults``  — run the robustness battery under an adversarial network
+* ``faults``  — run the ``robustness`` experiment (the fault sweep under
+  an adversarial network), write its tables
 * ``campaign`` — run a declarative fault campaign (token recreation
   recovery scenarios), write a canonical ``repro.campaign/1`` report
 * ``telemetry`` — run one workload with time-series sampling on, write
@@ -26,7 +27,8 @@ Commands:
 * ``diff``    — compare two canonical JSON documents (metrics,
   telemetry, profiles) with per-counter deltas and ``GLOB:PCT``
   regression gates
-* ``report``  — run the experiment battery, write markdown
+* ``report``  — run the paper's figure and table experiments plus the
+  ``verify --fast`` model checks, write markdown
 
 ``run``/``sweep``/``bench``/``faults``/``report`` all execute through the
 :mod:`repro.exp` engine: ``--jobs N`` fans cells out across processes,
@@ -365,24 +367,10 @@ def cmd_perf(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from repro.verification import verify_models
     from repro.verification.checker import check
-    from repro.verification.dir_model import DirFlatModel
-    from repro.verification.token_model import (
-        TokenArbModel,
-        TokenDstModel,
-        TokenRecreateModel,
-        TokenSafetyModel,
-    )
 
-    models = [
-        (TokenSafetyModel(), False),
-        (TokenDstModel(coarse_sends=True, atomic_broadcasts=True), True),
-        (TokenRecreateModel(), False),
-        (DirFlatModel(), True),
-    ]
-    if not args.fast:
-        models.insert(2, (TokenArbModel(coarse_sends=True, atomic_broadcasts=True), True))
-    for model, liveness in models:
+    for model, liveness in verify_models(fast=args.fast):
         result = check(model, max_states=args.max_states, check_liveness=liveness)
         print(result)
     print("all properties verified")
@@ -445,22 +433,24 @@ def cmd_lint(args) -> int:
 
 def cmd_faults(args) -> int:
     from repro.common.errors import ConfigError
-    from repro.faults.battery import write_battery
+    from repro.exp.library import EXPERIMENTS, render_text, robustness_spec
 
+    runner = _runner(args, progress=lambda msg: print(f"... {msg}"))
     try:
         rates = tuple(float(r) for r in args.rates.split(","))
-        write_battery(
-            args.out, rates=rates, scale=args.scale, seed=args.seed,
-            jobs=args.jobs, cache=not args.no_cache,
-            progress=lambda msg: print(f"... {msg}"),
-        )
+        result = runner.run(robustness_spec(args.scale, args.seed, rates))
     except (ValueError, ConfigError) as err:
         # e.g. a ClassPolicy rejecting an out-of-range rate: a user input
         # problem, not a crash — report it cleanly.
         print(f"faults: {err}", file=sys.stderr)
         return 2
-    with open(args.out) as fh:
-        print(fh.read(), end="")
+    text = render_text(EXPERIMENTS["robustness"].render(result))
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    print("Robustness battery: TokenCMP correctness substrate under an "
+          f"adversarial network\n(2 CMPs x 2 processors, seed {args.seed}, "
+          f"scale {args.scale}; fault model: docs/robustness.md)\n\n{text}",
+          end="")
     print(f"wrote {args.out}")
     return 0
 
@@ -491,11 +481,14 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.analysis.battery import write_report
+    from repro.exp.library import render_report
 
-    write_report(args.out, scale=args.scale, seed=args.seed,
-                 jobs=args.jobs, cache=not args.no_cache,
-                 progress=lambda msg: print(f"... {msg}"))
+    text = render_report(
+        _runner(args, progress=lambda msg: print(f"... {msg}")),
+        scale=args.scale, seed=args.seed,
+    )
+    with open(args.out, "w") as fh:
+        fh.write(text)
     print(f"wrote {args.out}")
     return 0
 
@@ -619,7 +612,7 @@ def main(argv=None) -> int:
                          "transition-graph artifact to PATH")
 
     f = sub.add_parser(
-        "faults", help="run the robustness battery under fault injection"
+        "faults", help="run the robustness fault sweep (library preset)"
     )
     f.add_argument("--out", default="benchmarks/results/robustness_battery.txt")
     f.add_argument("--rates", default="0,0.05,0.1,0.2",
@@ -642,7 +635,7 @@ def main(argv=None) -> int:
                         "(faster; drops time_to_recover_ps)")
     _add_engine_flags(c)
 
-    r = sub.add_parser("report", help="run the experiment battery, write markdown")
+    r = sub.add_parser("report", help="run the paper's experiments, write markdown")
     r.add_argument("--out", default="REPORT.md")
     r.add_argument("--scale", type=float, default=1.0,
                    help="workload size multiplier (0.5 = quick look)")

@@ -1,19 +1,14 @@
-"""Experiment harness helpers: paper-style result tables.
+"""Paper-style result tables.
 
 :class:`ResultTable` renders measured values side by side with the
-paper's reference values.  Runs are described declaratively
-(:class:`repro.exp.Cell`) and executed through :class:`repro.exp.Runner`
-or :func:`repro.exp.run_cell` — the former ``run_one`` / ``mean_runtime``
-shims are gone.
+paper's reference values.  The experiments that fill them, and the
+normalizations they use, live in :mod:`repro.exp.library`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
-
-from repro.interconnect.traffic import Scope, TrafficClass
-from repro.system.machine import RunResult
+from typing import List
 
 
 @dataclasses.dataclass
@@ -38,22 +33,3 @@ class ResultTable:
         lines = [self.title, fmt(self.columns), fmt(["-" * w for w in widths])]
         lines += [fmt(r) for r in self.rows]
         return "\n".join(lines)
-
-    def show(self) -> None:  # pragma: no cover - console output
-        print()
-        print(self.render())
-
-
-def traffic_breakdown_normalized(
-    results: Dict[str, RunResult], scope: Scope, baseline: str
-) -> Dict[str, Dict[TrafficClass, float]]:
-    """Per-protocol traffic by class, normalized to ``baseline``'s total."""
-    base_total = results[baseline].meter.scope_bytes(scope)
-    out: Dict[str, Dict[TrafficClass, float]] = {}
-    for name, res in results.items():
-        breakdown = res.meter.breakdown(scope)
-        out[name] = {
-            klass: (value / base_total if base_total else 0.0)
-            for klass, value in breakdown.items()
-        }
-    return out

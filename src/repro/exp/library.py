@@ -3,25 +3,45 @@
 Every figure/table experiment the repository reproduces is declared here
 as an :class:`Experiment` — a spec builder plus a table renderer over the
 structured :class:`~repro.exp.result.CellResult` records.  The pytest
-benchmarks under ``benchmarks/`` and the ``python -m repro bench``
-subcommand drive the *same* definitions, so there is exactly one source
-of truth for each experiment's grid and its rendered output.
+benchmarks under ``benchmarks/``, ``python -m repro bench``, and the two
+presets ``python -m repro faults`` (the ``robustness`` experiment) and
+``python -m repro report`` (:func:`render_report`) drive the *same*
+definitions, so there is exactly one source of truth for each
+experiment's grid and its rendered output.
+
+Every spec builder takes ``(scale=1.0, seed=1)``: ``scale`` multiplies
+the workload sizes through :func:`scaled` and ``seed`` is the first
+seed of the grid.  At the defaults a builder returns the grid behind the
+committed ``benchmarks/results/*.txt`` tables.
 
 Model checking (Section 5) is not cell-shaped (no machine, no workload)
-and stays in ``bench_sec5_modelcheck`` / ``python -m repro verify``.
+and stays in ``bench_sec5_modelcheck`` / ``python -m repro verify``; the
+report only adds the ``verify --fast`` counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.analysis.report import ResultTable
+from repro.common.errors import ReproError
 from repro.common.params import SystemParams
-from repro.exp.runner import ExperimentResult
+from repro.exp.runner import ExperimentResult, Runner
 from repro.exp.spec import Cell, ExperimentSpec
 from repro.interconnect.topology import Topology
 from repro.interconnect.traffic import Scope, TrafficClass
+
+
+def scaled(base: int, scale: float) -> int:
+    """A workload size at ``scale``: ``base`` itself at 1.0, never below 2."""
+    return max(2, round(base * scale))
+
+
+def render_text(tables: Iterable[ResultTable]) -> str:
+    """Tables as the bytes of a ``benchmarks/results/<name>.txt`` file."""
+    return "\n\n".join(t.render() for t in tables) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # Figures 2 & 3: locking micro-benchmark.
@@ -39,20 +59,22 @@ LOCK_ACQUIRES = 12
 GRID_MAX_EVENTS = 120_000_000
 
 
-def _locking_spec(name: str, protocols: List[str]) -> ExperimentSpec:
+def _locking_spec(name: str, protocols: List[str], scale: float = 1.0,
+                  seed: int = 1) -> ExperimentSpec:
+    acquires = scaled(LOCK_ACQUIRES, scale)
     cells = []
     for nl in LOCK_COUNTS:
         # High-contention points are noisy: average over perturbed runs,
         # the paper's Alameldeen & Wood methodology (error bars).
-        seeds = (1, 2, 3) if nl <= 8 else (1,)
+        seeds = (seed, seed + 1, seed + 2) if nl <= 8 else (seed,)
         for proto in protocols:
-            for seed in seeds:
+            for run_seed in seeds:
                 cells.append(Cell(
                     protocol=proto, workload="locking",
                     workload_kwargs={
-                        "num_locks": nl, "acquires_per_proc": LOCK_ACQUIRES,
+                        "num_locks": nl, "acquires_per_proc": acquires,
                     },
-                    seed=seed, max_events=GRID_MAX_EVENTS, label=str(nl),
+                    seed=run_seed, max_events=GRID_MAX_EVENTS, label=str(nl),
                 ))
     return ExperimentSpec(name=name, cells=tuple(cells))
 
@@ -95,17 +117,17 @@ TABLE4_PAPER = {
 BARRIER_PHASES = 16
 
 
-def _table4_spec() -> ExperimentSpec:
+def _table4_spec(scale: float = 1.0, seed: int = 1) -> ExperimentSpec:
     cells = []
     for label, jitter in (("fixed", 0.0), ("jitter", 1000.0)):
         for proto in TABLE4_PROTOCOLS:
             cells.append(Cell(
                 protocol=proto, workload="barrier",
                 workload_kwargs={
-                    "phases": BARRIER_PHASES, "work_ns": 3000.0,
+                    "phases": scaled(BARRIER_PHASES, scale), "work_ns": 3000.0,
                     "work_jitter_ns": jitter,
                 },
-                seed=1, max_events=GRID_MAX_EVENTS, label=label,
+                seed=seed, max_events=GRID_MAX_EVENTS, label=label,
             ))
     return ExperimentSpec(name="table4", cells=tuple(cells))
 
@@ -145,11 +167,13 @@ PAPER_SPEEDUP = {"oltp": 0.50, "apache": 0.29, "specjbb": 0.10}
 COMMERCIAL_REFS = 250
 
 
-def _commercial_spec(name: str, protocols: List[str]) -> ExperimentSpec:
+def _commercial_spec(name: str, protocols: List[str], scale: float = 1.0,
+                     seed: int = 1) -> ExperimentSpec:
+    refs = scaled(COMMERCIAL_REFS, scale)
     return ExperimentSpec.grid(
         name, protocols,
-        [(wl, {"refs_per_proc": COMMERCIAL_REFS}) for wl in COMMERCIAL_WORKLOADS],
-        max_events=GRID_MAX_EVENTS,
+        [(wl, {"refs_per_proc": refs}) for wl in COMMERCIAL_WORKLOADS],
+        seeds=(seed,), max_events=GRID_MAX_EVENTS,
     )
 
 
@@ -277,17 +301,18 @@ HANDOFF_PROTOCOLS = ["DirectoryCMP", "DirectoryCMP-zero", "TokenCMP-dst1", "Toke
 HANDOFF_ROUNDS = 24
 
 
-def _handoff_spec() -> ExperimentSpec:
+def _handoff_spec(scale: float = 1.0, seed: int = 1) -> ExperimentSpec:
     params = SystemParams()
+    rounds = scaled(HANDOFF_ROUNDS, scale)
     cells = []
     for label, proc_b in (("same chip", 1), ("cross chip", params.procs_per_chip)):
         for proto in HANDOFF_PROTOCOLS:
             cells.append(Cell(
                 protocol=proto, workload="pingpong",
                 workload_kwargs={
-                    "proc_a": 0, "proc_b": proc_b, "rounds": HANDOFF_ROUNDS,
+                    "proc_a": 0, "proc_b": proc_b, "rounds": rounds,
                 },
-                seed=1, params=params, label=label,
+                seed=seed, params=params, label=label,
             ))
     return ExperimentSpec(name="handoff", cells=tuple(cells))
 
@@ -295,10 +320,9 @@ def _handoff_spec() -> ExperimentSpec:
 def handoff_grid(result: ExperimentResult) -> Dict[tuple, float]:
     """ns per ping-pong round trip, keyed by (pair label, protocol)."""
     return {
-        (label, proto): result.cell(protocol=proto, label=label).runtime_ps
-        / HANDOFF_ROUNDS / 1000.0
-        for label in ("same chip", "cross chip")
-        for proto in HANDOFF_PROTOCOLS
+        (cell.label, cell.protocol_name):
+            res.runtime_ps / cell.kwargs["rounds"] / 1000.0
+        for cell, res in zip(result.spec.cells, result)
     }
 
 
@@ -322,19 +346,26 @@ CHIP_COUNTS = [2, 4, 8]
 SCALING_REFS = 120
 
 
-def _scaling_spec() -> ExperimentSpec:
-    cells = []
-    for chips in CHIP_COUNTS:
-        params = SystemParams(
-            num_chips=chips, tokens_per_block=128 if chips > 4 else 64
+def _oltp_scaling_spec(name: str, machines: List[tuple], refs: int,
+                       seed: int, telemetry=None) -> ExperimentSpec:
+    """OLTP on each ``(chips, params)`` machine, labelled by chip count."""
+    return ExperimentSpec(name, tuple(
+        Cell(
+            protocol=proto, workload="oltp",
+            workload_kwargs={"refs_per_proc": refs}, seed=seed,
+            params=params, telemetry=telemetry, label=str(chips),
         )
-        for proto in SCALING_PROTOCOLS:
-            cells.append(Cell(
-                protocol=proto, workload="oltp",
-                workload_kwargs={"refs_per_proc": SCALING_REFS},
-                seed=1, params=params, label=str(chips),
-            ))
-    return ExperimentSpec(name="scaling", cells=tuple(cells))
+        for chips, params in machines
+        for proto in SCALING_PROTOCOLS
+    ))
+
+
+def _scaling_spec(scale: float = 1.0, seed: int = 1) -> ExperimentSpec:
+    return _oltp_scaling_spec("scaling", [
+        (chips, SystemParams(num_chips=chips,
+                             tokens_per_block=128 if chips > 4 else 64))
+        for chips in CHIP_COUNTS
+    ], scaled(SCALING_REFS, scale), seed)
 
 
 def scaling_grid(result: ExperimentResult) -> Dict[int, Dict[str, object]]:
@@ -390,27 +421,23 @@ def mesh_params(chips: int, procs: int) -> SystemParams:
 
 
 def _mesh_scaling_spec(name: str, chip_counts: List[int], procs: int,
-                       refs: int) -> ExperimentSpec:
-    cells = []
-    for chips in chip_counts:
-        params = mesh_params(chips, procs)
-        for proto in SCALING_PROTOCOLS:
-            cells.append(Cell(
-                protocol=proto, workload="oltp",
-                workload_kwargs={"refs_per_proc": refs},
-                seed=1, params=params, label=str(chips),
-            ))
-    return ExperimentSpec(name=name, cells=tuple(cells))
+                       refs: int, seed: int, telemetry=None) -> ExperimentSpec:
+    return _oltp_scaling_spec(
+        name, [(chips, mesh_params(chips, procs)) for chips in chip_counts],
+        refs, seed, telemetry,
+    )
 
 
-def _scaling_big_spec() -> ExperimentSpec:
+def _scaling_big_spec(scale: float = 1.0, seed: int = 1) -> ExperimentSpec:
     return _mesh_scaling_spec("scaling-big", BIG_CHIP_COUNTS,
-                              BIG_PROCS_PER_CHIP, BIG_SCALING_REFS)
+                              BIG_PROCS_PER_CHIP,
+                              scaled(BIG_SCALING_REFS, scale), seed)
 
 
-def _scaling_smoke_spec() -> ExperimentSpec:
+def _scaling_smoke_spec(scale: float = 1.0, seed: int = 1) -> ExperimentSpec:
     return _mesh_scaling_spec("scaling-smoke", [SMOKE_CHIPS],
-                              SMOKE_PROCS_PER_CHIP, SMOKE_REFS)
+                              SMOKE_PROCS_PER_CHIP, scaled(SMOKE_REFS, scale),
+                              seed)
 
 
 def request_fanout_per_miss(res) -> float:
@@ -462,19 +489,6 @@ def _render_mesh_scaling(result: ExperimentResult, chip_counts: List[int],
     return tables
 
 
-def _render_scaling_big(result) -> List[ResultTable]:
-    return _render_mesh_scaling(
-        result, BIG_CHIP_COUNTS,
-        "Big-topology scaling - TokenCMP vs DirectoryCMP",
-    )
-
-
-def _render_scaling_smoke(result) -> List[ResultTable]:
-    return _render_mesh_scaling(
-        result, [SMOKE_CHIPS], "Mesh scaling smoke (CI determinism gate)",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Time-resolved saturation on the big mesh sweep: the same cells as
 # scaling-big, with telemetry sampling on — *which* links saturate, and
@@ -484,21 +498,15 @@ def _render_scaling_smoke(result) -> List[ResultTable]:
 TELEMETRY_SAMPLE_EVERY = 4096
 
 
-def _scaling_telemetry_spec() -> ExperimentSpec:
+def _scaling_telemetry_spec(scale: float = 1.0, seed: int = 1
+                            ) -> ExperimentSpec:
     from repro.obs.telemetry import TelemetryConfig
 
-    telemetry = TelemetryConfig(sample_every_events=TELEMETRY_SAMPLE_EVERY)
-    cells = []
-    for chips in BIG_CHIP_COUNTS:
-        params = mesh_params(chips, BIG_PROCS_PER_CHIP)
-        for proto in SCALING_PROTOCOLS:
-            cells.append(Cell(
-                protocol=proto, workload="oltp",
-                workload_kwargs={"refs_per_proc": BIG_SCALING_REFS},
-                seed=1, params=params, telemetry=telemetry,
-                label=str(chips),
-            ))
-    return ExperimentSpec(name="scaling-telemetry", cells=tuple(cells))
+    return _mesh_scaling_spec(
+        "scaling-telemetry", BIG_CHIP_COUNTS, BIG_PROCS_PER_CHIP,
+        scaled(BIG_SCALING_REFS, scale), seed,
+        TelemetryConfig(sample_every_events=TELEMETRY_SAMPLE_EVERY),
+    )
 
 
 def saturation_summary(doc: dict) -> Dict[str, object]:
@@ -542,6 +550,117 @@ def _render_scaling_telemetry(result: ExperimentResult) -> List[ResultTable]:
 
 
 # ---------------------------------------------------------------------------
+# Robustness (Sections 3 & 7): the contention benchmarks under an
+# adversarial interconnect, with the liveness watchdog and the continuous
+# token-conservation monitor armed.  Every cell must complete (run_cell
+# raises on starvation, deadlock or a conservation violation), and the
+# renderer checks the watchdog trips and the bounded slowdown.
+# ---------------------------------------------------------------------------
+
+ROBUSTNESS_RATES = (0.0, 0.05, 0.10, 0.20)
+ROBUSTNESS_PROTOCOLS = ("TokenCMP-arb0", "TokenCMP-dst0", "TokenCMP-dst1")
+ROBUSTNESS_CHECK_EVERY = 2048
+MAX_SLOWDOWN = 50.0  # bounded-slowdown assertion, vs the fault-free run
+FAULT_COUNTERS = (
+    "faults.dropped", "faults.duplicated", "faults.reordered",
+    "faults.delayed", "faults.suppressed",
+)
+
+
+class RobustnessFailure(ReproError):
+    """A robustness run broke the slowdown bound or tripped the watchdog."""
+
+
+def robustness_spec(scale: float = 1.0, seed: int = 1,
+                    rates: Sequence[float] = ROBUSTNESS_RATES
+                    ) -> ExperimentSpec:
+    """The fault sweep: workload x protocol x fault rate on 2x2 chips.
+
+    The first rate is the baseline each protocol's slowdown is measured
+    against.  A rate outside [0, 1] raises ``ValueError``.
+    """
+    from repro.faults.injector import FaultConfig
+
+    params = SystemParams(num_chips=2, procs_per_chip=2, tokens_per_block=16)
+    workloads = (
+        ("locking", {"num_locks": 4, "acquires_per_proc": scaled(8, scale)}),
+        ("barrier", {"phases": scaled(6, scale)}),
+    )
+    return ExperimentSpec("robustness", tuple(
+        Cell(
+            protocol=proto, workload=workload, workload_kwargs=kwargs,
+            seed=seed, params=params, max_events=40_000_000,
+            faults=FaultConfig.adversarial(rate),
+            watchdog_budget_ns=100_000.0,
+            watchdog_check_every=ROBUSTNESS_CHECK_EVERY,
+            invariant_check_every=ROBUSTNESS_CHECK_EVERY,
+            check_invariants=True, label=str(rate),
+        )
+        for workload, kwargs in workloads
+        for proto in ROBUSTNESS_PROTOCOLS
+        for rate in rates
+    ))
+
+
+def _render_robustness(result: ExperimentResult) -> List[ResultTable]:
+    cells = result.spec.cells
+    protocols = list(dict.fromkeys(c.protocol_name for c in cells))
+    rates = list(dict.fromkeys(c.label for c in cells))
+    slowdown = {}  # (workload, protocol, rate) -> runtime / first-rate runtime
+    for cell, res in zip(cells, result):
+        base = result.cell(protocol=cell.protocol_name,
+                           workload=cell.workload_name, label=rates[0])
+        ratio = res.runtime_ps / base.runtime_ps if base.runtime_ps else 1.0
+        if ratio > MAX_SLOWDOWN:
+            raise RobustnessFailure(
+                f"{cell.workload_name}/{cell.protocol_name} at fault rate "
+                f"{cell.label}: slowdown {ratio:.1f}x exceeds the "
+                f"{MAX_SLOWDOWN:.0f}x bound"
+            )
+        slowdown[(cell.workload_name, cell.protocol_name, cell.label)] = ratio
+    trips = sum(res.get("watchdog.trips") for res in result)
+    if trips:
+        raise RobustnessFailure(f"the liveness watchdog tripped {trips} times")
+
+    tables = []
+    for workload in dict.fromkeys(c.workload_name for c in cells):
+        table = ResultTable(
+            f"{workload} under fault injection: runtime normalized to the "
+            "fault-free run of each protocol",
+            ["fault rate"] + protocols,
+        )
+        for rate in rates:
+            table.add(f"{float(rate):.0%}", *(
+                f"{slowdown[(workload, p, rate)]:.2f}" for p in protocols
+            ))
+        tables.append(table)
+    table = ResultTable(
+        "Injected fault events (summed over workloads and protocols)",
+        ["fault rate"] + [c.split(".", 1)[1] for c in FAULT_COUNTERS],
+    )
+    for rate in rates:
+        table.add(f"{float(rate):.0%}", *(
+            sum(res.get(counter) for res in result.select(label=rate))
+            for counter in FAULT_COUNTERS
+        ))
+    tables.append(table)
+    # A conservation violation or a starved thread raises out of the
+    # run, so every recorded cell completed with zero violations.
+    table = ResultTable(
+        "Correctness substrate under the adversary",
+        ["runs", "completed", "conservation checks", "violations",
+         "watchdog trips", "spurious deactivates absorbed"],
+    )
+    table.add(
+        len(cells), len(result),
+        sum(res.get("invariant.checks") + 1 for res in result), 0, trips,
+        sum(res.get("arb.spurious_deactivates") for res in result),
+    )
+    tables.append(table)
+    return tables
+
+
+# ---------------------------------------------------------------------------
 # The registry.
 # ---------------------------------------------------------------------------
 
@@ -551,7 +670,7 @@ class Experiment:
 
     id: str
     title: str
-    build: Callable[[], ExperimentSpec]
+    build: Callable[..., ExperimentSpec]  # (scale=1.0, seed=1)
     render: Callable[[ExperimentResult], List[ResultTable]]
 
 
@@ -560,7 +679,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
     for exp in (
         Experiment(
             "fig2", "Figure 2: locking, persistent requests only",
-            lambda: _locking_spec("fig2", FIG2_PROTOCOLS),
+            lambda scale=1.0, seed=1: _locking_spec(
+                "fig2", FIG2_PROTOCOLS, scale, seed),
             lambda r: _render_locking(
                 r, FIG2_PROTOCOLS,
                 "Figure 2 - locking micro-benchmark, persistent requests only "
@@ -570,7 +690,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig3", "Figure 3: locking, transient + persistent requests",
-            lambda: _locking_spec("fig3", FIG3_PROTOCOLS),
+            lambda scale=1.0, seed=1: _locking_spec(
+                "fig3", FIG3_PROTOCOLS, scale, seed),
             lambda r: _render_locking(
                 r, FIG3_PROTOCOLS,
                 "Figure 3 - locking micro-benchmark, transient + persistent "
@@ -584,11 +705,15 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig6", "Figure 6: commercial workload runtime",
-            lambda: _commercial_spec("fig6", FIG6_PROTOCOLS), _render_fig6,
+            lambda scale=1.0, seed=1: _commercial_spec(
+                "fig6", FIG6_PROTOCOLS, scale, seed),
+            _render_fig6,
         ),
         Experiment(
             "fig7", "Figures 7a/7b: commercial workload traffic",
-            lambda: _commercial_spec("fig7", FIG7_PROTOCOLS), _render_fig7,
+            lambda scale=1.0, seed=1: _commercial_spec(
+                "fig7", FIG7_PROTOCOLS, scale, seed),
+            _render_fig7,
         ),
         Experiment(
             "handoff", "Sharing-miss hand-off latency (ping-pong)",
@@ -601,17 +726,68 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "scaling-big",
             "8/16-CMP mesh scaling: runtime, traffic, fan-out (ROADMAP)",
-            _scaling_big_spec, _render_scaling_big,
+            _scaling_big_spec,
+            lambda r: _render_mesh_scaling(
+                r, BIG_CHIP_COUNTS,
+                "Big-topology scaling - TokenCMP vs DirectoryCMP",
+            ),
         ),
         Experiment(
             "scaling-smoke",
             "small 8-CMP mesh sweep (CI determinism gate)",
-            _scaling_smoke_spec, _render_scaling_smoke,
+            _scaling_smoke_spec,
+            lambda r: _render_mesh_scaling(
+                r, [SMOKE_CHIPS], "Mesh scaling smoke (CI determinism gate)",
+            ),
         ),
         Experiment(
             "scaling-telemetry",
             "8/16-CMP mesh sweep with time-series telemetry (saturation)",
             _scaling_telemetry_spec, _render_scaling_telemetry,
         ),
+        Experiment(
+            "robustness",
+            "fault sweep: completion, conservation, bounded slowdown",
+            robustness_spec, _render_robustness,
+        ),
     )
 }
+
+
+# ---------------------------------------------------------------------------
+# ``python -m repro report``: the paper's grids plus the model checks.
+# ---------------------------------------------------------------------------
+
+REPORT_EXPERIMENTS = ("fig2", "fig3", "table4", "fig6", "fig7", "handoff")
+
+
+def render_report(runner: Runner, scale: float = 1.0, seed: int = 1) -> str:
+    """The ``python -m repro report`` markdown: one block per report
+    experiment (at the defaults, the bytes of its ``benchmarks/results``
+    file), then the ``verify --fast`` model checks.  No wall-clock
+    content, so two runs are byte-identical."""
+    from repro.verification import verify_models
+    from repro.verification.checker import check
+
+    blocks = []
+    for exp_id in REPORT_EXPERIMENTS:
+        exp = EXPERIMENTS[exp_id]
+        blocks.append((exp.title, exp.render(runner.run(exp.build(scale, seed)))))
+    models = ResultTable(
+        "Model checking (Section 5, the verify --fast configurations)",
+        ["model", "states", "transitions", "result"],
+    )
+    for model, liveness in verify_models(fast=True):
+        result = check(model, check_liveness=liveness)
+        models.add(model.name, result.states, result.transitions, "verified")
+    blocks.append(("Section 5: model checking", [models]))
+    parts = [
+        "# TokenCMP reproduction report",
+        "",
+        f"Machine: the paper's 4 CMPs x 4 processors (seed {seed}, "
+        f"scale {scale}).  Normalized numbers; see EXPERIMENTS.md for the "
+        "paper-vs-measured discussion.",
+    ]
+    for title, tables in blocks:
+        parts += ["", f"## {title}", "", "```", render_text(tables) + "```"]
+    return "\n".join(parts) + "\n"

@@ -2,9 +2,9 @@
 
 :func:`run_cell` is the *only* place in the repository that builds a
 ``Machine`` + workload for an experiment — the CLI, the benchmarks, the
-analysis battery and the fault battery all funnel through it, so fault
-injection, watchdog arming and invariant checking behave identically
-everywhere.
+experiment library (including its ``report`` and ``faults`` presets)
+and the recovery campaigns all funnel through it, so fault injection,
+watchdog arming and invariant checking behave identically everywhere.
 
 :class:`Runner` executes a spec's cells across a ``multiprocessing`` pool.
 Each cell is an independent deterministic simulation (its own kernel, its
@@ -28,11 +28,8 @@ from repro.workloads import make_workload
 def run_cell(cell: Cell, tracer=None, profiler=None) -> CellResult:
     """Execute one cell: build the machine + workload, run, record.
 
-    This is the single supported entry point for running an experiment
-    cell; the deprecated ``run_one`` / ``runtime_grid`` helpers delegate
-    here.  The returned result carries the in-process ``RunResult`` in
-    ``.raw`` (dropped when the result crosses a process boundary or the
-    cache).
+    The returned result carries the in-process ``RunResult`` in ``.raw``
+    (dropped when the result crosses a process boundary or the cache).
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) and ``profiler``
     (:class:`repro.obs.profile.KernelProfiler`) attach to the machine's

@@ -11,8 +11,9 @@ claim testable:
 * :mod:`repro.faults.watchdog` — :class:`LivenessWatchdog` (starvation /
   quiescence detection with structured diagnostics) and
   :class:`InvariantMonitor` (continuous token-conservation checking);
-* :mod:`repro.faults.battery` — the fault-rate sweep behind
-  ``python -m repro faults`` and ``benchmarks/bench_robustness.py``;
+* the fault-rate sweep that arms them is the ``robustness`` experiment
+  of :mod:`repro.exp.library`, run by ``python -m repro faults`` and
+  ``benchmarks/bench_robustness.py``;
 * :mod:`repro.faults.crash` — :class:`CrashInjector`, a seeded kernel
   fault that wipes an L1/L2's token soft-state mid-run (recovered by the
   token-recreation tier, see :mod:`repro.recovery`).

@@ -115,7 +115,7 @@ class FaultConfig:
     def adversarial(rate: float, delay_ps: int = 10_000,
                     reorder_window_ps: int = 2_000,
                     lossy: bool = False) -> "FaultConfig":
-        """The battery's standard adversary at one fault ``rate``:
+        """The robustness sweep's adversary at one fault ``rate``:
         drop + duplicate + reorder + delay transient requests, reorder +
         delay token carriers, duplicate + delay persistent messages.
         With ``lossy=True`` token carriers are additionally *dropped* at

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.analysis.report import ResultTable, traffic_breakdown_normalized
+from repro.analysis.report import ResultTable
 from repro.common.params import SystemParams
+from repro.exp.library import EXPERIMENTS, REPORT_EXPERIMENTS, traffic_norm
 from repro.exp.runner import run_cell
 from repro.exp.spec import Cell
 from repro.interconnect.traffic import Scope, TrafficClass
+from repro.verification import verify_models
 
 
 def _cell(small, protocol, seed=1):
@@ -41,10 +43,10 @@ def test_result_table_renders_aligned():
 
 def test_traffic_breakdown_normalization(small):
     results = {
-        name: run_cell(_cell(small, name)).raw
+        name: run_cell(_cell(small, name))
         for name in ("DirectoryCMP", "TokenCMP-dst1")
     }
-    norm = traffic_breakdown_normalized(results, Scope.INTER, "DirectoryCMP")
+    norm = traffic_norm(results, Scope.INTER, "DirectoryCMP")
     assert abs(sum(norm["DirectoryCMP"].values()) - 1.0) < 1e-9
     assert set(norm["TokenCMP-dst1"]) == set(TrafficClass)
 
@@ -85,10 +87,18 @@ def test_cli_verify_fast(capsys):
     assert "all properties verified" in out
 
 
-def test_cli_report(tmp_path, capsys):
+def test_cli_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "r.md"
-    rc = cli_main(["report", "--out", str(out), "--scale", "0.2", "--seed", "2"])
+    rc = cli_main(["report", "--out", str(out), "--scale", "0.1", "--seed", "2"])
     assert rc == 0
     text = out.read_text()
     assert "TokenCMP reproduction report" in text
     assert "Figure 6" in text and "verified" in text
+    # The report is the library's experiments plus every verify --fast
+    # model, with no wall-clock content.
+    for exp_id in REPORT_EXPERIMENTS:
+        assert f"## {EXPERIMENTS[exp_id].title}" in text
+    for model, _liveness in verify_models(fast=True):
+        assert model.name in text
+    assert "Generated in" not in text

@@ -194,3 +194,5 @@ def test_cli_faults_bad_rate_is_clean_exit_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "faults:" in err and "Traceback" not in err
+    # The robustness spec builder rejects the rate before any cell runs.
+    assert not (tmp_path / "battery.txt").exists()
