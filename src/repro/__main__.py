@@ -29,6 +29,9 @@ Commands:
   regression gates
 * ``report``  — run the paper's figure and table experiments plus the
   ``verify --fast`` model checks, write markdown
+* ``golden``  — regenerate every committed artifact twice and compare
+  the runs with each other and with the baselines (``--update``
+  rewrites the baselines; see :mod:`repro.golden`)
 
 ``run``/``sweep``/``bench``/``faults``/``report`` all execute through the
 :mod:`repro.exp` engine: ``--jobs N`` fans cells out across processes,
@@ -39,8 +42,10 @@ and results are replayed from the content-addressed cache unless
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+from repro.common import dumps
 from repro.common.params import SystemParams
 from repro.exp.runner import Runner, run_cell
 from repro.exp.spec import Cell
@@ -97,20 +102,24 @@ def _cell_from_args(args, protocol: str, check_invariants: bool = False,
     )
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file, creating its directory."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit_telemetry(result, out_path) -> None:
     """Write/print one result's telemetry document (shared by commands)."""
-    from repro.obs.telemetry import render_saturation, write_telemetry
+    from repro.obs.telemetry import render_saturation
 
     if result.telemetry is None:
         return
     print(render_saturation(result.telemetry))
     if out_path:
-        import os
-
-        parent = os.path.dirname(out_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        write_telemetry(out_path, result.telemetry)
+        _write(out_path, dumps(result.telemetry))
         print(f"wrote {out_path}")
 
 
@@ -143,7 +152,7 @@ def cmd_run(args) -> int:
         telemetry=_telemetry_from_args(args),
     ))
     if args.json:
-        print(result.to_json())
+        sys.stdout.write(result.to_json())
         return 0
     print(f"protocol   {args.protocol}")
     print(f"workload   {args.workload}")
@@ -176,7 +185,7 @@ def cmd_sweep(args) -> int:
     runner = _runner(args)
     result = runner.run_cells(cells, name=f"sweep-{args.workload}")
     if args.json:
-        print(result.to_json())
+        sys.stdout.write(result.to_json())
         return 0
     runtimes = {res.protocol: res.runtime_ps for res in result}
     base = runtimes.get("DirectoryCMP") or next(iter(runtimes.values()))
@@ -205,13 +214,13 @@ def cmd_bench(args) -> int:
               f"known: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
     exp = EXPERIMENTS[args.experiment]
-    # With --json, stdout is the machine-readable record stream (the CI
-    # determinism gate byte-compares it); progress notes go to stderr.
+    # With --json, stdout is the machine-readable record stream (the
+    # golden gate byte-compares it); progress notes go to stderr.
     out = sys.stderr if args.json else sys.stdout
     runner = _runner(args, progress=lambda msg: print(f"... {msg}", file=out))
     result = runner.run(exp.build())
     if args.json:
-        print(result.to_json())
+        sys.stdout.write(result.to_json())
         return 0
     for table in exp.render(result):
         print()
@@ -223,8 +232,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import os
-
     from repro.obs import (
         KernelProfiler,
         SpanBuilder,
@@ -259,11 +266,7 @@ def cmd_trace(args) -> int:
         print()
         print(profiler.report())
         if args.profile_out:
-            import json
-
-            with open(args.profile_out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(profiler.to_dict(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+            _write(args.profile_out, dumps(profiler.to_dict()))
             print(f"wrote {args.profile_out}")
     _emit_telemetry(result, getattr(args, "telemetry_out", None))
     return 0
@@ -277,9 +280,7 @@ def cmd_telemetry(args) -> int:
     result = run_cell(cell)
     validate_telemetry(result.telemetry)
     if args.json:
-        from repro.obs.telemetry import render_telemetry
-
-        print(render_telemetry(result.telemetry), end="")
+        sys.stdout.write(dumps(result.telemetry))
         return 0
     doc = result.telemetry
     print(f"protocol   {args.protocol}")
@@ -293,9 +294,7 @@ def cmd_telemetry(args) -> int:
 def cmd_diff(args) -> int:
     import json
 
-    from repro.obs.diff import (
-        diff_report, parse_gate, render_diff_json, render_diff_report,
-    )
+    from repro.obs.diff import diff_report, parse_gate, render_diff_report
 
     try:
         gates = [parse_gate(text) for text in args.gate]
@@ -308,15 +307,13 @@ def cmd_diff(args) -> int:
         return 2
     report = diff_report(docs[0], docs[1], gates)
     if args.json:
-        print(render_diff_json(report), end="")
+        sys.stdout.write(dumps(report))
     else:
         print(render_diff_report(report, show_all=args.show_all))
     return 0 if report["ok"] else 1
 
 
 def cmd_topo(args) -> int:
-    import json
-
     from repro.common.errors import ConfigError
 
     if not args.generator:
@@ -340,7 +337,7 @@ def cmd_topo(args) -> int:
         print(f"topo: {err}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(dumps(doc, indent=2))
         return 0
     stats = doc["stats"]
     print(f"generator  {doc['generator']} "
@@ -404,16 +401,16 @@ def cmd_lint(args) -> int:
                   file=sys.stderr)
             return 2
 
-    from repro.staticcheck.protomodel import build_model, render_protomodel
+    from repro.staticcheck.protomodel import build_model
     from repro.staticcheck.runner import default_root
     from repro.staticcheck.source import load_tree
 
     files = load_tree(default_root())
     findings, pass_ids = run_passes(files=files, passes=passes)
     if args.model_out is not None:
-        out_path = Path(args.model_out)
-        out_path.write_text(render_protomodel(build_model(files)))
-        print(f"wrote {out_path} (schema repro.protomodel/1)", file=sys.stderr)
+        _write(args.model_out, dumps(build_model(files), indent=2))
+        print(f"wrote {args.model_out} (schema repro.protomodel/1)",
+              file=sys.stderr)
     baseline_path = Path(args.baseline)
     if args.update_baseline:
         write_baseline(baseline_path, findings)
@@ -445,8 +442,7 @@ def cmd_faults(args) -> int:
         print(f"faults: {err}", file=sys.stderr)
         return 2
     text = render_text(EXPERIMENTS["robustness"].render(result))
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write(args.out, text)
     print("Robustness battery: TokenCMP correctness substrate under an "
           f"adversarial network\n(2 CMPs x 2 processors, seed {args.seed}, "
           f"scale {args.scale}; fault model: docs/robustness.md)\n\n{text}",
@@ -456,12 +452,9 @@ def cmd_faults(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    import os
-
     from repro.common.errors import ConfigError
     from repro.recovery.campaign import (
         CampaignConfig, render_text as render_campaign, run_campaign,
-        write_report,
     )
 
     try:
@@ -471,10 +464,7 @@ def cmd_campaign(args) -> int:
         return 2
     runner = _runner(args, progress=lambda msg: print(f"... {msg}"))
     report = run_campaign(config, runner, spans=not args.no_spans)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    write_report(report, args.out)
+    _write(args.out, dumps(report))
     print(render_campaign(report))
     print(f"wrote {args.out}")
     return 1 if report["totals"]["failed"] else 0
@@ -487,10 +477,15 @@ def cmd_report(args) -> int:
         _runner(args, progress=lambda msg: print(f"... {msg}")),
         scale=args.scale, seed=args.seed,
     )
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write(args.out, text)
     print(f"wrote {args.out}")
     return 0
+
+
+def cmd_golden(args) -> int:
+    from repro.golden import check
+
+    return check(update=args.update)
 
 
 def _add_engine_flags(parser) -> None:
@@ -500,7 +495,7 @@ def _add_engine_flags(parser) -> None:
                         help="bypass the content-addressed result cache")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -642,23 +637,36 @@ def main(argv=None) -> int:
     r.add_argument("--seed", type=int, default=1)
     _add_engine_flags(r)
 
-    args = parser.parse_args(argv)
-    return {
-        "list": cmd_list,
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "trace": cmd_trace,
-        "bench": cmd_bench,
-        "topo": cmd_topo,
-        "perf": cmd_perf,
-        "verify": cmd_verify,
-        "lint": cmd_lint,
-        "faults": cmd_faults,
-        "campaign": cmd_campaign,
-        "telemetry": cmd_telemetry,
-        "diff": cmd_diff,
-        "report": cmd_report,
-    }[args.command](args)
+    g = sub.add_parser(
+        "golden", help="regenerate the committed artifacts, gate on them"
+    )
+    g.add_argument("--update", action="store_true",
+                   help="rewrite each baseline whose two runs agree")
+    return parser
+
+
+COMMANDS = {
+    "list": cmd_list,
+    "run": cmd_run,
+    "sweep": cmd_sweep,
+    "trace": cmd_trace,
+    "bench": cmd_bench,
+    "topo": cmd_topo,
+    "perf": cmd_perf,
+    "verify": cmd_verify,
+    "lint": cmd_lint,
+    "faults": cmd_faults,
+    "campaign": cmd_campaign,
+    "telemetry": cmd_telemetry,
+    "diff": cmd_diff,
+    "report": cmd_report,
+    "golden": cmd_golden,
+}
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -61,11 +61,6 @@ class NodeId(NamedTuple):
     def __str__(self) -> str:
         return f"{self.kind.value}[{self.chip}.{self.index}]"
 
-    @property
-    def is_on_chip(self) -> bool:
-        """True for endpoints that sit on the CMP die itself."""
-        return self.kind in (NodeKind.L1D, NodeKind.L1I, NodeKind.L2)
-
 
 class Address(int):
     """A physical byte address.  Plain ``int`` with a nicer repr."""

@@ -76,7 +76,6 @@ class ResultCache:
             return None
         result = CellResult.from_dict(record["result"])
         result.from_cache = True
-        result.cache_key = key
         self.hits += 1
         return result
 

@@ -276,7 +276,7 @@ def fig6_smoke_cell(telemetry=None) -> Cell:
 
     The work report (``python -m repro perf``, committed as
     ``BENCH_work.json``), the fig6 smoke pin in ``tests/test_network.py``
-    and the CI telemetry-smoke job all run exactly this cell (metrics
+    and the golden telemetry baseline all run exactly this cell (metrics
     sha ``8d0b5685...``, 163255 events, 20,234,772 ps), so any
     behavioral drift shows up as one diff everywhere.  ``telemetry``
     optionally attaches a :class:`~repro.obs.telemetry.TelemetryConfig`

@@ -14,6 +14,7 @@ import dataclasses
 import json
 from typing import Dict, Optional, Union
 
+from repro.common import dumps
 from repro.common.stats import PERCENTILES  # noqa: F401  (canonical home)
 from repro.common.types import to_ns
 from repro.interconnect.traffic import Scope, TrafficClass
@@ -31,7 +32,6 @@ class CellResult:
     traffic: Dict[str, Dict[str, int]]  # scope value -> class value -> bytes
     summaries: Dict[str, Dict[str, float]]
     label: str = ""
-    cache_key: Optional[str] = None
     # repro.telemetry/1 document, present only when the cell enabled
     # sampling (kept out of to_dict otherwise so pre-telemetry records
     # and cache entries stay byte-identical).
@@ -68,8 +68,7 @@ class CellResult:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_run(cls, run_result, cell, cache_key: Optional[str] = None
-                 ) -> "CellResult":
+    def from_run(cls, run_result, cell) -> "CellResult":
         """Convert a :class:`repro.system.machine.RunResult`."""
         traffic: Dict[str, Dict[str, int]] = {}
         for (scope, klass), nbytes in run_result.meter.bytes.items():
@@ -84,7 +83,6 @@ class CellResult:
             traffic=traffic,
             summaries=stats["summaries"],
             label=cell.label,
-            cache_key=cache_key,
             raw=run_result,
         )
 
@@ -102,7 +100,6 @@ class CellResult:
             "traffic": {s: dict(c) for s, c in self.traffic.items()},
             "summaries": {n: dict(v) for n, v in self.summaries.items()},
             "label": self.label,
-            "cache_key": self.cache_key,
         }
         if self.telemetry is not None:
             record["telemetry"] = self.telemetry
@@ -110,7 +107,7 @@ class CellResult:
 
     def to_json(self) -> str:
         """Canonical JSON — the determinism contract's unit of comparison."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_dict())
 
     def metrics(self) -> dict:
         """The canonical metrics-JSON document for this result.

@@ -179,7 +179,7 @@ class ExperimentResult:
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """One canonical JSON line per cell, in spec order."""
-        return "\n".join(res.to_json() for res in self.results)
+        return "".join(res.to_json() for res in self.results)
 
 
 class Runner:
@@ -218,6 +218,9 @@ class Runner:
             if key is not None:
                 cached = self.cache.load(key)
                 if cached is not None:
+                    # The label is not part of the key: a hit carries
+                    # this spec's label, not the computing spec's.
+                    cached.label = cell.label
                     results[i] = cached
                     hits += 1
                     continue
@@ -243,19 +246,16 @@ class Runner:
                 computed = pool.map(
                     _run_cell_worker, [c for _, c, _ in parallelizable]
                 )
-            for (i, _cell, key), res in zip(parallelizable, computed):
-                res.cache_key = key
+            for (i, _cell, _key), res in zip(parallelizable, computed):
                 results[i] = res
         else:
             serial = parallelizable + serial
-        for i, cell, key in serial:
+        for i, cell, _key in serial:
             self._say(
                 f"{spec.name}: {cell.protocol_name} / {cell.workload_name}"
                 f" seed={cell.seed}" + (f" [{cell.label}]" if cell.label else "")
             )
-            res = run_cell(cell)
-            res.cache_key = key
-            results[i] = res
+            results[i] = run_cell(cell)
 
         if self.cache is not None:
             for i, _cell, key in pending:

@@ -48,10 +48,8 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     TelemetryConfig,
     TelemetrySampler,
-    render_telemetry,
     saturation_windows,
     validate_telemetry,
-    write_telemetry,
 )
 from repro.obs.trace import KINDS, TraceEvent, Tracer
 
@@ -72,10 +70,8 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TelemetryConfig",
     "TelemetrySampler",
-    "render_telemetry",
     "saturation_windows",
     "validate_telemetry",
-    "write_telemetry",
     "DIFF_SCHEMA",
     "diff_report",
     "render_diff_report",

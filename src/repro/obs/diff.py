@@ -21,8 +21,9 @@ and deterministic like every other exporter here.
 from __future__ import annotations
 
 import fnmatch
-import json
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.common import dumps
 
 #: A flattened leaf: a number, or the canonical JSON text of an identity
 #: leaf or a whole list.
@@ -54,7 +55,7 @@ def _flatten_generic(node, prefix: str, out: Dict[str, Value]) -> None:
             out[f"{prefix}.last"] = numbers[-1]
     # Strings, bools, nulls and whole lists carry identity: compared by
     # their canonical text.
-    out[prefix] = json.dumps(node, sort_keys=True, separators=(",", ":"))
+    out[prefix] = dumps(node)[:-1]
 
 
 def _flatten_telemetry(doc: dict) -> Dict[str, Value]:
@@ -225,8 +226,3 @@ def render_diff_report(report: dict, show_all: bool = False) -> str:
     for v in report["violations"]:
         lines.append(f"  GATE {v['gate']}: {v['key']} {v['why']}")
     return "\n".join(lines)
-
-
-def render_diff_json(report: dict) -> str:
-    """Canonical JSON form of the diff report."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

@@ -26,9 +26,9 @@ runs on emitted traces.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.common import dumps
 from repro.obs.spans import SpanReport
 from repro.obs.trace import KINDS, TraceEvent
 
@@ -144,8 +144,7 @@ def write_chrome_trace(
     """Write the canonical-JSON Chrome trace for ``events`` to ``path``."""
     doc = chrome_trace(events, spans)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(dumps(doc))
     return doc
 
 

@@ -29,8 +29,6 @@ simulator does.
 
 from __future__ import annotations
 
-from typing import Dict
-
 #: Schema identifier (bump on layout changes).
 METRICS_SCHEMA = "repro.metrics/1"
 
@@ -92,8 +90,3 @@ def validate_metrics(doc: dict) -> None:
         for field in SUMMARY_FIELDS:
             if not isinstance(stats.get(field), (int, float)):
                 fail(f"summary {name!r} lacks numeric {field!r}")
-
-
-def summaries_dict(stats) -> Dict[str, Dict[str, float]]:
-    """Summaries block of :meth:`Stats.to_dict` (re-exported helper)."""
-    return stats.to_dict()["summaries"]

@@ -40,7 +40,6 @@ one (enforced by ``tests/test_telemetry.py``).
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -410,18 +409,8 @@ def saturation_windows(doc: dict,
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON + validation.
+# Validation.
 # ---------------------------------------------------------------------------
-def render_telemetry(doc: dict) -> str:
-    """Canonical JSON — the telemetry determinism contract's byte form."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_telemetry(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_telemetry(doc))
-
-
 def validate_telemetry(doc: dict) -> int:
     """Raise :class:`ValueError` unless ``doc`` matches the schema;
     return the number of sampled rows.  Dependency-free, like

@@ -5,9 +5,8 @@ repo benchmark's business (``hostbench/``).  What this module pins is
 the *work* the simulator does on the fig6 smoke cell, in counts that
 are a pure function of the simulation.  Two processes therefore print
 byte-identical reports, and a gate needs no comparator and no
-tolerance: CI's ``work-gate`` job runs the report twice, ``cmp``-s the
-two outputs and ``diff -u``-s the first against the committed
-``BENCH_work.json``.
+tolerance: ``python -m repro golden`` runs the report twice and
+compares both outputs with the committed ``BENCH_work.json``.
 
 The ``repro.bench_work/1`` document has two parts:
 
@@ -35,6 +34,8 @@ import hashlib
 import json
 import sys
 from typing import Dict, Optional
+
+from repro.common import dumps
 
 SCHEMA = "repro.bench_work/1"
 
@@ -234,12 +235,6 @@ def work_report(work: Optional[Dict[str, object]] = None,
     }
 
 
-def dumps(report: Dict[str, object]) -> str:
-    """The canonical text: ``indent=2``, sorted keys, one trailing
-    newline — what ``BENCH_work.json`` holds byte for byte."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def main() -> int:
-    sys.stdout.write(dumps(work_report()))
+    sys.stdout.write(dumps(work_report(), indent=2))
     return 0

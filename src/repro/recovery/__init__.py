@@ -27,10 +27,8 @@ from repro.recovery.campaign import (
     CampaignConfig,
     Scenario,
     cell_verdict,
-    render_report,
     render_text,
     run_campaign,
-    write_report,
 )
 from repro.recovery.ledger import RecoveryLedger
 
@@ -40,8 +38,6 @@ __all__ = [
     "RecoveryLedger",
     "Scenario",
     "cell_verdict",
-    "render_report",
     "render_text",
     "run_campaign",
-    "write_report",
 ]

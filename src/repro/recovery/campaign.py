@@ -392,16 +392,6 @@ def run_campaign(
     }
 
 
-def render_report(report: dict) -> str:
-    """Canonical JSON: the campaign determinism contract's byte form."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-
-
 def render_text(report: dict) -> str:
     """Human-readable campaign summary."""
     totals = report["totals"]

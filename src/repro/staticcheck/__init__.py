@@ -31,7 +31,7 @@ Entry points: :func:`repro.staticcheck.runner.run_passes` and the
 from repro.staticcheck.base import PASSES, Pass, explain_rule
 from repro.staticcheck.baseline import diff_baseline, load_baseline, write_baseline
 from repro.staticcheck.findings import Finding, render_json, render_text
-from repro.staticcheck.protomodel import build_model, render_protomodel
+from repro.staticcheck.protomodel import build_model
 from repro.staticcheck.runner import run_passes
 from repro.staticcheck.source import SourceFile, load_tree
 
@@ -46,7 +46,6 @@ __all__ = [
     "load_baseline",
     "load_tree",
     "render_json",
-    "render_protomodel",
     "render_text",
     "run_passes",
     "write_baseline",

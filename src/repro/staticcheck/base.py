@@ -108,19 +108,6 @@ def enum_members(files: List[SourceFile], class_name: str) -> Set[str]:
     return members
 
 
-def iter_classes(src: SourceFile):
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def iter_functions(node: ast.AST):
-    """All function defs nested anywhere under ``node`` (including methods)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield sub
-
-
 def make_registry():
     """Instantiate the standard pass list (import here to avoid cycles)."""
     from repro.staticcheck.determinism import DeterminismPass

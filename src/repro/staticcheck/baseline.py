@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.common import dumps
 from repro.staticcheck.findings import Finding
 
 SCHEMA = "repro.staticcheck-baseline/1"
@@ -45,7 +46,7 @@ def write_baseline(path: Path, findings: List[Finding]) -> None:
         "fingerprints": counts,
         "notes": notes,  # human orientation only; the gate keys on fingerprints
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(doc, indent=2))
 
 
 def diff_baseline(

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import Dict, List
+
+from repro.common import dumps
 
 SEVERITIES = ("error", "warning")
 
@@ -93,4 +94,4 @@ def render_json(findings: List[Finding], passes: List[str]) -> str:
         },
         "findings": [f.to_dict() for f in sorted(findings)],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc, indent=2)

@@ -36,8 +36,8 @@ a finding:
 The merged extraction is also serialized as a canonical, byte-
 deterministic ``repro.protomodel/1`` JSON artifact
 (``python -m repro lint --pass protocol-model --model-out PATH``) whose
-per-role transition counts are pinned in tests and gated byte-wise in
-CI against ``protomodel-baseline.json``.
+per-role transition counts are pinned in tests and gated byte-wise
+against ``protomodel-baseline.json`` by ``python -m repro golden``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
-import json
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -686,10 +685,6 @@ def build_model(files: List[SourceFile]) -> Dict[str, object]:
             "models": {k: v.total for k, v in sorted(models.items())},
         },
     }
-
-
-def render_protomodel(doc: Dict[str, object]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class ProtocolConfig:
                 "multicast extension (predicted set, then one full broadcast)"
             )
 
-    @property
-    def is_token(self) -> bool:
-        return self.family == "token"
-
 
 def _token(name: str, **kw) -> ProtocolConfig:
     return ProtocolConfig(name=name, family="token", **kw)

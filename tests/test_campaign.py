@@ -12,6 +12,7 @@ import pathlib
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.common import dumps
 from repro.common.errors import ConfigError
 from repro.exp.runner import Runner
 from repro.recovery import (
@@ -19,7 +20,6 @@ from repro.recovery import (
     CampaignConfig,
     Scenario,
     cell_verdict,
-    render_report,
     run_campaign,
 )
 
@@ -111,7 +111,7 @@ def test_campaign_report_byte_identical_across_jobs_and_repeats(tmp_path):
 
     def run(jobs, cache_dir):
         runner = Runner(jobs=jobs, cache_dir=str(tmp_path / cache_dir))
-        return render_report(run_campaign(config, runner, spans=False))
+        return dumps(run_campaign(config, runner, spans=False))
 
     serial = run(1, "c1")
     parallel = run(4, "c2")
@@ -149,8 +149,8 @@ def test_campaign_report_structure_and_time_to_recover(tmp_path):
     assert ttr["p50_ps"] <= ttr["p95_ps"] <= ttr["p99_ps"] <= ttr["max_ps"]
 
     # The canonical rendering is stable JSON (round-trips unchanged).
-    rendered = render_report(report)
-    assert render_report(json.loads(rendered)) == rendered
+    rendered = dumps(report)
+    assert dumps(json.loads(rendered)) == rendered
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ LOCKING = ("locking", ())
 #: (protocol, workload) -> (events_fired, sha256 of the to_dict record).
 PINS = {
     ("DirectoryCMP", OLTP): (
-        40250, "03a2fbc45c2e8fe9cf13679c33ea432aeb24baf8976d2719fc98f8392475c5b0"),
+        40250, "e51717f221437e6be8083039bfc2ca8c36f6678b73d9b417ad88a31619288d57"),
     ("DirectoryCMP", LOCKING): (
-        10613, "227445dede1f37f85aef7fe9dd046113d69690a5a1a0b610d2c462edd6fee65a"),
+        10613, "d6d88da30ce044151e2ad83f7234e7ee38ac688485bebb05a2caa1d0db496767"),
     ("DirectoryCMP-zero", OLTP): (
-        39155, "ff65576706dcbed8780edc9bd54eab956e102e93df30027cc25fbd0e798f134b"),
+        39155, "d6b0db8dc6dae0fa3937af0ab638825199819b07fe6045ca64de58f9cce1cdda"),
     ("DirectoryCMP-zero", LOCKING): (
-        11002, "a7bdeea30928493e0b18d15f14e8e8960797fe2ee275be1c8f400d4f90de8b2c"),
+        11002, "b81df37a817495d3aaa383fafd79f7486e620080130a45e1e71ed7916f56b1c6"),
 }
 
 

@@ -191,6 +191,19 @@ def test_experiment_result_selectors(small, tmp_path):
     assert all(v > 0 for v in grid.values())
 
 
+def test_cache_hit_carries_the_requesting_label(small, tmp_path):
+    # The label is not part of the cache key, so a hit must take it from
+    # the requesting cell, not from the spec that computed the cell.
+    base = Cell(protocol="TokenCMP-dst1", workload="counter",
+                workload_kwargs={"increments": 3}, params=small)
+    runner = Runner(cache_dir=str(tmp_path))
+    runner.run_cells([dataclasses.replace(base, label="first")])
+    warm = runner.run_cells([dataclasses.replace(base, label="second")])
+    assert warm.cache_hits == 1
+    assert warm.results[0].label == "second"
+    assert [r.label for r in warm.select(label="second")] == ["second"]
+
+
 # ---------------------------------------------------------------------------
 # Registry completeness: every protocol and workload runs through the one
 # entry point.
@@ -274,6 +287,21 @@ def test_cli_sweep_json_parallel_uses_cache(capsys, tmp_path, monkeypatch):
     assert first == second
     records = [json.loads(line) for line in first.splitlines()]
     assert {r["protocol"] for r in records} >= {"TokenCMP-dst1", "DirectoryCMP"}
+
+
+def test_cli_sweep_json_does_not_depend_on_cache_state(capsys, tmp_path,
+                                                      monkeypatch):
+    from repro.__main__ import main as cli_main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["sweep", "counter", "--chips", "2", "--procs", "2",
+            "--ops", "2", "--json"]
+    assert cli_main(argv) == 0  # fills the cache
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    warm = capsys.readouterr().out
+    assert cli_main(argv + ["--no-cache"]) == 0
+    assert capsys.readouterr().out == warm
 
 
 def test_cli_bench_lists_and_rejects_unknown(capsys):

@@ -1,8 +1,9 @@
 """Tests for the deterministic work-and-allocation report (repro.perf).
 
-CI's work-gate job diffs ``python -m repro perf`` against the committed
-``BENCH_work.json``; here one in-process report checks the document's
-own invariants, plus the projection on a synthetic steady-state run.
+``python -m repro golden`` compares ``python -m repro perf`` with the
+committed ``BENCH_work.json``; here one in-process report checks the
+document's own invariants, plus the projection on a synthetic
+steady-state run.
 """
 
 import json
@@ -10,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf import ALLOC_DETERMINISTIC_FIELDS, SCHEMA, dumps, work_report
+from repro.common import dumps
+from repro.perf import ALLOC_DETERMINISTIC_FIELDS, SCHEMA, work_report
 
 BENCH_WORK = Path(__file__).resolve().parent.parent / "BENCH_work.json"
 
 
 @pytest.fixture(scope="module")
 def report_text():
-    return dumps(work_report())
+    return dumps(work_report(), indent=2)
 
 
 def _keys(node):
@@ -40,7 +42,7 @@ def test_profile_sites_sum_to_events(report_text):
 def test_report_text_is_canonical(report_text):
     doc = json.loads(report_text)
     assert doc["schema"] == SCHEMA
-    assert dumps(doc) == report_text
+    assert dumps(doc, indent=2) == report_text
 
 
 def test_work_matches_the_committed_report(report_text):

@@ -24,12 +24,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+from repro.common import dumps
 from repro.staticcheck.protomodel import (
     ProtocolModelPass,
     build_model,
     extract_controllers,
     extract_models,
-    render_protomodel,
 )
 from repro.staticcheck.runner import default_root, run_passes
 from repro.staticcheck.source import load_tree
@@ -80,7 +80,7 @@ def test_pinned_model_transition_counts():
 
 
 def test_artifact_matches_committed_baseline():
-    rendered = render_protomodel(build_model(_real_files()))
+    rendered = dumps(build_model(_real_files()), indent=2)
     committed = (REPO_ROOT / "protomodel-baseline.json").read_text()
     assert rendered == committed
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.common import dumps
 
 from repro.exp.library import fig6_smoke_cell, mesh_params
 from repro.exp.runner import Runner, run_cell
@@ -26,14 +27,12 @@ from repro.obs.diff import (
     diff_report,
     flatten_doc,
     parse_gate,
-    render_diff_json,
     render_diff_report,
 )
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     TelemetryConfig,
     link_utilization_permille,
-    render_telemetry,
     saturation_windows,
     validate_telemetry,
 )
@@ -119,7 +118,7 @@ def test_ring_capacity_drops_oldest_rows():
 
 
 def test_fig6_smoke_cell_identity():
-    # perf.py's e2e gate and the CI telemetry-smoke job share this cell;
+    # BENCH_work.json and the golden telemetry baseline share this cell;
     # its identity is pinned (metrics sha / event count acceptance).
     cell = fig6_smoke_cell()
     name = getattr(cell.protocol, "name", cell.protocol)
@@ -183,8 +182,8 @@ def test_result_roundtrips_through_dict():
 # Determinism: repeats, job counts, hash seeds.
 # ---------------------------------------------------------------------------
 def test_byte_identical_across_repeats():
-    first = render_telemetry(run_cell(_small_cell()).telemetry)
-    second = render_telemetry(run_cell(_small_cell()).telemetry)
+    first = dumps(run_cell(_small_cell()).telemetry)
+    second = dumps(run_cell(_small_cell()).telemetry)
     assert first == second
 
 
@@ -215,11 +214,12 @@ _DIGEST_SNIPPET = """
 import hashlib
 from repro.exp.spec import Cell
 from repro.exp.runner import run_cell
-from repro.obs.telemetry import TelemetryConfig, render_telemetry
+from repro.common import dumps
+from repro.obs.telemetry import TelemetryConfig
 cell = Cell(protocol="TokenCMP-dst1", workload="oltp",
             workload_kwargs={"refs_per_proc": 20}, seed=1,
             telemetry=TelemetryConfig(sample_every_events=2000))
-blob = render_telemetry(run_cell(cell).telemetry)
+blob = dumps(run_cell(cell).telemetry)
 print(hashlib.sha256(blob.encode()).hexdigest())
 """
 
@@ -358,7 +358,7 @@ def test_fig6_smoke_cell_has_no_saturation():
     # Acceptance anchor: the default 4-CMP ptp fig6 configuration is
     # paper-balanced — no sustained saturation window may be flagged.
     # (Uses a short oltp run with the same machine shape for speed; the
-    # full pinned cell is exercised by the CI telemetry-smoke job.)
+    # full pinned cell is the golden telemetry baseline.)
     res = run_cell(_small_cell(telemetry=TelemetryConfig()))
     assert res.telemetry["saturation"] == []
 
@@ -410,7 +410,7 @@ def test_diff_identical_docs():
     assert report["changed"] == 0
     assert report["violations"] == []
     # Canonical JSON renders deterministically.
-    assert render_diff_json(report) == render_diff_json(
+    assert dumps(report) == dumps(
         diff_report(doc, doc, [("counters.*", 0.0)])
     )
 
