@@ -64,12 +64,11 @@ class TokenCacheController:
         # carriers are stamped with the sender's epoch; anything older
         # than what we know is stale and discarded, never absorbed.
         self._block_epoch: dict = {}
-        # The shared message pool (one per machine, owned by the network;
-        # fault wrappers forward the attribute).  Ad-hoc test networks
-        # without one get a private disabled pool, which degrades every
-        # acquire to plain construction and release to a no-op.
+        # The machine's message constructor (owned by the network; fault
+        # wrappers forward the attribute).  Ad-hoc test networks without
+        # one get a private one.
         pool = getattr(net, "pool", None)
-        self.pool: MessagePool = pool if pool is not None else MessagePool(enabled=False)
+        self.pool: MessagePool = pool if pool is not None else MessagePool()
         # Hot-path bindings, resolved once instead of per message.
         self._call_after = sim.call_after
         self._process_cb = self._process
@@ -122,15 +121,6 @@ class TokenCacheController:
             self._on_recreate_epoch(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")
-        # Final delivery: the message's lifecycle ends here.  Dispatchees
-        # must copy out any scalars they need (pool discipline) — the
-        # record goes back on the freelist for the next acquire.  Inlined
-        # MessagePool.release: unflagged messages (pooling off, or plain
-        # construction) make the pop a no-op.
-        if msg.__dict__.pop("_pooled", None):
-            pool = self.pool
-            pool.releases += 1
-            pool._free.append(msg)
 
     # ------------------------------------------------------------------
     # Token arrival (responses, writebacks — all the same to the substrate).
@@ -292,8 +282,8 @@ class TokenCacheController:
 
     def _respond_transient(self, mtype: MsgType, addr: int, requestor: NodeId) -> None:
         # Scalar arguments by design: responding can be parked on a hold
-        # window (``_defer`` below), and a deferred continuation must not
-        # capture the pooled request message past its delivery.
+        # window (``_defer`` below), and the continuation needs only these
+        # three values, not the (possibly shared) request message.
         entry = self.array.peek(addr)
         if entry is None or entry.tokens == 0 or requestor == self.node:
             return  # a cache only responds when it actually has tokens

@@ -64,12 +64,16 @@ class TokenL1Controller(TokenCacheController):
         self.rng = substream(seed, "l1", self.node)
         self.destset = None  # per-chip predictor, wired by the builder
         self._tx: Dict[int, Transaction] = {}
-        # Destination sets, keyed by ``params.interleave_residue(addr)``:
-        # one tuple per (residue, scope) instead of a rebuilt list on
-        # every miss, derived from the machine-wide tables
+        # Destination sets: the chip's other L1s are fixed, and the rest
+        # is keyed by ``params.interleave_residue(addr)``: one tuple per
+        # (residue, scope) instead of a rebuilt list on every miss,
+        # derived from the machine-wide tables
         # (``holders_and_home``, ``home_banks``).  Each tuple is interned
         # by content through the network (``Network.intern_dests``), so
         # equal sets share one tuple and one fan-out plan.
+        self._chip_peers: Tuple[NodeId, ...] = tuple(
+            n for n in self.params.chip_l1s(self.chip) if n != self.node
+        )
         self._dests_local: Dict[int, Tuple[NodeId, ...]] = {}
         self._dests_global: Dict[int, Tuple[NodeId, ...]] = {}
         self._pers_dests: Dict[int, Tuple[NodeId, ...]] = {}
@@ -164,8 +168,7 @@ class TokenL1Controller(TokenCacheController):
             return cached
         banks = home_banks(self.net, self.params, addr)
         own_bank = banks[self.chip]
-        dests = [n for n in self.params.chip_l1s(self.chip) if n != self.node]
-        dests.append(own_bank)
+        dests = [*self._chip_peers, own_bank]
         if global_:
             dests.extend(bank for bank in banks if bank != own_bank)
             dests.append(self.params.home_mem(addr))

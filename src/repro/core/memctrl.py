@@ -79,7 +79,7 @@ class TokenMemController:
         self._recreating: Dict[int, _Recreation] = {}
         self.ledger = None
         pool = getattr(net, "pool", None)
-        self.pool: MessagePool = pool if pool is not None else MessagePool(enabled=False)
+        self.pool: MessagePool = pool if pool is not None else MessagePool()
         # Hot-path bindings, resolved once instead of per message.
         self._call_after = sim.call_after
         self._process_cb = self._process
@@ -146,13 +146,6 @@ class TokenMemController:
             self._on_recreate_ack(msg)
         else:  # pragma: no cover - defensive
             raise ValueError(f"{self.node}: unexpected message {msg}")
-        # Final delivery: recycle the pooled record (pool discipline — the
-        # handlers above copy out every scalar they keep).  Inlined
-        # MessagePool.release: unflagged messages make the pop a no-op.
-        if msg.__dict__.pop("_pooled", None):
-            pool = self.pool
-            pool.releases += 1
-            pool._free.append(msg)
 
     # ------------------------------------------------------------------
     # Token recreation: the ruler of tokens (Sections 3 & 7).

@@ -200,9 +200,11 @@ class Arbiter:
         self.stats.bump("arb.spurious_deactivates")
 
     def _broadcast(self, mtype: MsgType, req: Message) -> None:
+        # Deferred import: repro.core.base imports this module.
+        from repro.core.base import holders_and_home
+
         addr = req.addr
-        destinations = self.params.token_holders(addr) + [self.params.home_mem(addr)]
-        for dst in destinations:
+        for dst in holders_and_home(self.net, self.params, addr):
             self.net.send(
                 Message(
                     mtype=mtype,

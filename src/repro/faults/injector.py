@@ -186,11 +186,7 @@ class FaultyNetwork:
 
     def send_fanout(self, template: Message, dests) -> None:
         # One addressed clone per destination: ``_on_arrival`` keys the
-        # persistent FIFO clamp on ``msg.dst``.  The template contract is
-        # ``Network.send_fanout``'s, so a faulty machine refuses the
-        # same pooled templates.
-        if "_pooled" in template.__dict__:
-            raise ValueError(f"send_fanout was handed a pooled template: {template}")
+        # persistent FIFO clamp on ``msg.dst``.
         self._inner.send_clones(template, dests)
 
     def send(self, msg: Message) -> None:
@@ -279,10 +275,6 @@ class FaultyNetwork:
                             self.ledger.destroy(
                                 msg.addr, msg.tokens, msg.owner, dirty=msg.dirty
                             )
-                # A dropped message never reaches a controller, so its
-                # pooled record is recycled here (no-op for the unpooled
-                # duplicate copies this wrapper itself constructs).
-                self._inner.pool.release(msg)
                 return
 
         # ---- extra latency: long delay and/or reorder jitter ---------

@@ -11,10 +11,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-# Sanctioned impurity: the pooling kill-switch is read once per pool from
-# the environment (debug/equivalence-testing aid); it never feeds
-# simulated state.  See docs/static-analysis.md.
-import os  # staticcheck: ignore[purity-import]
 from typing import Any, Optional
 
 from repro.common.types import NodeId
@@ -137,72 +133,30 @@ class Message:
         return " ".join(bits)
 
 
-# Field defaults stamped into a pooled instance on acquire.  ``uid`` is
-# excluded on purpose: the caller always assigns it from ``_msg_ids`` so
-# the uid draw sequence is identical with pooling on or off.
-_DEFAULTS = {
-    "tokens": 0,
-    "owner": False,
-    "dirty": False,
-    "data": None,
-    "read": False,
-    "requestor": None,
-    "req_type": None,
-    "acks": 0,
-    "serial": 0,
-    "prio": 0,
-    "epoch": 0,
-    "extra": None,
-}
-
-
-def pooling_enabled() -> bool:
-    """Whether message pooling is on (default) — ``REPRO_POOLING=0`` disables.
-
-    The off switch exists only for the on/off equivalence test and for
-    debugging aliasing suspicions; both modes draw uids in the same order,
-    so all experiment outputs are byte-identical either way.
-    """
-    return os.environ.get("REPRO_POOLING", "1") != "0"
-
-
 class MessagePool:
-    """Freelist of recyclable :class:`Message` instances.
+    """The machine's message constructor: builds fresh messages and counts them.
 
-    The steady-state lifecycle is: a controller *acquires* a message, the
-    network routes it, and the receiving controller *releases* it once
-    its ``_process`` dispatch returns.  A released instance goes back on
-    the freelist and is reused by a later acquire — so in steady state
-    point-to-point messages are serviced with zero pool constructions.
-    Broadcast templates are not pooled: a controller builds a plain
-    :class:`Message` and hands it to ``Network.send_fanout``, which
-    delivers that one object to every destination untraced (and refuses
-    a pooled one), or stamps it into pooled *clones* (:meth:`clone`)
-    when traced or faulted.
+    Controllers build their point-to-point messages through the machine's
+    one instance (``Network.pool``); broadcast templates are plain
+    :class:`Message` constructions handed to ``Network.send_fanout``,
+    which clones them here when traced or faulted.  Every call builds a
+    new :class:`Message` and draws exactly one uid.
 
-    Discipline (checked by the ``pool-discipline`` staticcheck pass and
-    the aliasing tests):
-
-    * never store a handled message on ``self`` or capture it in a
-      deferred callback — copy the scalars you need instead;
-    * release exactly once, at final delivery (``release`` tolerates a
-      second call on an instance that was already recycled *and not yet
-      reissued*, but that is a safety net, not a contract);
-    * messages absorbed by the fault injector's in-flight ledger are
-      released by the injector, not the controller.
-
-    With pooling disabled every acquire constructs a fresh instance, and
-    release is a no-op; uid draws are identical in both modes.
+    ``news`` and ``release`` exist only for the host-time harness
+    (``hostbench/``), which reads ``net.pool.news`` and wraps ``release``
+    by name: every message is new, so ``news`` is ``acquires``, and
+    ``release`` does nothing.
     """
 
-    __slots__ = ("enabled", "_free", "acquires", "news", "releases")
+    __slots__ = ("acquires",)
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = pooling_enabled() if enabled is None else enabled
-        self._free: list = []
-        self.acquires = 0  # total messages handed out
-        self.news = 0  # handed out by fresh construction (freelist empty)
-        self.releases = 0  # returned to the freelist
+    def __init__(self) -> None:
+        self.acquires = 0  # total messages built
+
+    @property
+    def news(self) -> int:
+        """Messages built by fresh construction: all of them."""
+        return self.acquires
 
     def acquire(
         self,
@@ -213,23 +167,7 @@ class MessagePool:
     ) -> Message:
         """A message with all payload fields at their defaults."""
         self.acquires += 1
-        free = self._free
-        if free:
-            msg = free.pop()
-            d = msg.__dict__
-            d.update(_DEFAULTS)
-            d["mtype"] = mtype
-            d["src"] = src
-            d["dst"] = dst
-            d["addr"] = addr
-            d["uid"] = next(_msg_ids)
-            d["_pooled"] = True
-            return msg
-        self.news += 1
-        msg = Message(mtype, src, dst, addr)
-        if self.enabled:
-            msg.__dict__["_pooled"] = True
-        return msg
+        return Message(mtype, src, dst, addr)
 
     def acquire_carrier(
         self,
@@ -243,65 +181,22 @@ class MessagePool:
         dirty: bool,
         epoch: int,
     ) -> Message:
-        """Acquire a token-carrier message with its payload stamped.
+        """A token-carrier message with its payload stamped.
 
-        Token/owner stores are concentrated here (and audited once) so the
+        Carrier construction is concentrated here so the
         ``token-mutation`` staticcheck keeps flagging stray carrier
-        rewrites at controller level — a freshly acquired message is the
-        pooled equivalent of a ``Message(tokens=..., owner=...)``
-        construction, not a token-state mutation.
-        """
-        msg = self.acquire(mtype, src, dst, addr)
-        d = msg.__dict__
-        d["tokens"] = tokens
-        d["owner"] = owner
-        d["data"] = data
-        d["dirty"] = dirty
-        d["epoch"] = epoch
-        return msg
-
-    def clone(self, template: Message, dst: NodeId) -> Message:
-        """Stamp ``template``'s fields into a pooled instance bound to ``dst``.
-
-        The pooled equivalent of :meth:`Message.clone_to` — broadcast
-        fan-out builds one template and clones it per destination.
+        rewrites at controller level.
         """
         self.acquires += 1
-        free = self._free
-        if free:
-            msg = free.pop()
-            d = msg.__dict__
-            # No clear() needed: a recycled dict holds exactly the message
-            # fields (pool discipline forbids ad-hoc attributes), and the
-            # template update overwrites every one of them.
-            d.update(template.__dict__)
-            d["dst"] = dst
-            d["uid"] = next(_msg_ids)
-            d["_pooled"] = True
-            return msg
-        self.news += 1
-        msg = template.clone_to(dst)
-        if self.enabled:
-            msg.__dict__["_pooled"] = True
-        return msg
+        return Message(
+            mtype, src, dst, addr,
+            tokens=tokens, owner=owner, dirty=dirty, data=data, epoch=epoch,
+        )
+
+    def clone(self, template: Message, dst: NodeId) -> Message:
+        """:meth:`Message.clone_to`, counted: ``template`` bound to ``dst``."""
+        self.acquires += 1
+        return template.clone_to(dst)
 
     def release(self, msg: Message) -> None:
-        """Return ``msg`` to the freelist (no-op unless pool-owned).
-
-        The ``_pooled`` marker is popped first, so double releases and
-        releases of caller-constructed messages are both safe no-ops.
-        """
-        if not self.enabled:
-            return
-        if msg.__dict__.pop("_pooled", None):
-            self.releases += 1
-            self._free.append(msg)
-
-    def stats(self) -> dict:
-        """Deterministic counters for telemetry / the alloc gate."""
-        return {
-            "acquires": self.acquires,
-            "news": self.news,
-            "releases": self.releases,
-            "free_end": len(self._free),
-        }
+        """No-op: messages are not recycled (kept for the harness)."""

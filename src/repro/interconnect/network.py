@@ -53,8 +53,7 @@ precomputed at construction time:
   same ``(time, seq)`` order;
 * **one shared broadcast message** — untraced and unfaulted,
   ``send_fanout`` delivers its template itself, read-only, to every
-  destination instead of one pooled clone each; the template is a
-  plain :class:`Message`, never pool-owned;
+  destination instead of one clone each;
 * **a closed-form first hop** — every route of a broadcast leaves on
   the sender's one egress link, so ``send_fanout`` charges that link
   once per fan-out: copy *k* (from 0) leaves it at ``max(now,
@@ -223,8 +222,8 @@ class Network:
         }
         self._meter_bytes = meter.bytes
         self._meter_msgs = meter.messages
-        # Freelist of recyclable Message records; controllers acquire at
-        # send and release at final delivery (see MessagePool).
+        # The machine's message constructor; controllers build their
+        # point-to-point messages through it (see MessagePool).
         self.pool = MessagePool()
         # Fan-out plans, keyed by destination-tuple identity: broadcasts
         # pass tuples interned through ``intern_dests``, so the
@@ -351,24 +350,19 @@ class Network:
         The caller hands the template over: it builds a plain
         :class:`Message` (drawing one uid) and never touches it again.
         Untraced, every destination receives the template itself,
-        read-only: its ``dst`` and ``uid`` are the sender's, and the
-        receivers' release is a no-op because it is not pool-owned.
-        Receivers never read ``dst``/``uid``, mutate or keep a message
-        (pool discipline), so sharing is invisible.  One ``uid`` is
-        still drawn per destination, as a per-destination clone would,
-        so every later uid is unchanged.  A pool-owned template raises
-        :class:`ValueError`: the pool would recycle it while receivers
-        still hold it.
+        read-only: its ``dst`` and ``uid`` are the sender's.  Receivers
+        never read ``dst``/``uid`` or mutate a message, so sharing is
+        invisible (``tests/test_fanout.py`` checks that no template
+        changes).  One ``uid`` is still drawn per destination, as a
+        per-destination clone would, so every later uid is unchanged.
 
-        Traced, each destination gets its own pooled clone so the
+        Traced, each destination gets its own clone so the
         tracer sees per-message ids (:meth:`send_clones`).  Fault
         wrappers use :meth:`send_clones` too: the messages that fan out
         (transient requests, persistent activates/deactivates, epoch
         bumps) never carry tokens, but the fault injector keys its
         persistent FIFO clamp on each message's ``dst``.
         """
-        if "_pooled" in template.__dict__:
-            raise ValueError(f"send_fanout was handed a pooled template: {template}")
         sim = self.sim
         if sim.tracer is not None:
             self.send_clones(template, dests)
@@ -477,7 +471,7 @@ class Network:
         sim._pending += n
 
     def send_clones(self, template: Message, dests) -> None:
-        """Send a pooled clone of ``template`` to each of ``dests``."""
+        """Send a clone of ``template`` to each of ``dests``."""
         clone = self.pool.clone
         send = self.send
         for dst in dests:
@@ -523,11 +517,6 @@ class Network:
                 if head.plain and uses[head] == len(routes):
                     first = head
         return (dests, tuple(zip(endpoints, routes)), tuple(counts.items()), first)
-
-    def release(self, msg: Message) -> None:
-        """Return a delivered pooled message to the pool (no-op for
-        messages the pool does not own, including with pooling off)."""
-        self.pool.release(msg)
 
     def _deliver_traced(self, msg: Message) -> None:
         """Delivery shim used while tracing: emit ``msg.recv``, then act.

@@ -19,9 +19,9 @@ The ``repro.bench_work/1`` document has two parts:
   here even when the metrics stay put.
 * ``steady_state`` — allocation accounting over event windows after
   warmup (:func:`bench_alloc_steady_state`), projected onto
-  :data:`ALLOC_DETERMINISTIC_FIELDS`: every kernel event record and
-  every coherence message must be recycled, so the fresh-record
-  counters read zero in every window.
+  :data:`ALLOC_DETERMINISTIC_FIELDS`: every kernel event record must
+  be recycled, so the fresh-record counter reads zero in every window,
+  and retained allocator blocks must stay under a per-window budget.
 
 The report carries the Python major.minor it ran on, because freelist
 and allocator behaviour can shift between interpreter versions; the
@@ -109,19 +109,20 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
 
     Runs the pinned cell's machine in event windows and samples
     ``sys.getallocatedblocks()`` (gc disabled, so the deltas are a pure
-    function of the simulation) plus the two freelist "fresh allocation"
-    counters — ``Simulator.event_news`` and ``MessagePool.news``.  After
-    warmup both counters must stay flat: every event record and every
-    coherence message is recycled, which is the zero-allocation claim
-    the work report pins.
+    function of the simulation) plus the event freelist's "fresh
+    allocation" counter, ``Simulator.event_news``.  After warmup it must
+    stay flat: every event record is recycled, which is the
+    zero-allocation claim the work report pins.  Coherence messages are
+    built fresh and freed on delivery, so they show up only in
+    ``blocks_delta``.
 
     ``blocks_delta`` per window is *near* zero rather than exactly zero:
     retained measurement state (latency-percentile samples, first-touch
     interning) still grows at a decaying rate, and the exact count
     wobbles by ±1 across processes (id-hashed enum members make some
     set/dict layouts address-dependent), so the raw sawtooth is
-    informational.  What the report pins exactly is ``event_news`` /
-    ``pool_news`` (must be all zero) and ``blocks_within_budget``
+    informational.  What the report pins exactly is ``event_news``
+    (must be all zero) and ``blocks_within_budget``
     (every window delta under :data:`BLOCKS_WINDOW_BUDGET`) — see
     :data:`ALLOC_DETERMINISTIC_FIELDS`.
     """
@@ -137,7 +138,6 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
         cell.workload, cell.params, seed=cell.seed, **cell.kwargs
     )
     sim = machine.sim
-    pool = machine.net.pool
     threads = [
         ProcThread(sim, machine.sequencers[p], gen, lambda _t: None)
         for p, gen in enumerate(workload.generators())
@@ -148,7 +148,6 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
 
     blocks_delta = [0] * windows
     event_news = [0] * windows
-    pool_news = [0] * windows
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -156,7 +155,6 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
         _saturate_type_freelists()
         base_blocks = sys.getallocatedblocks()
         base_events = sim.event_news
-        base_pool = pool.news
         for i in range(windows):
             sim.run(max_events=window_events)
             blocks = sys.getallocatedblocks()
@@ -164,8 +162,6 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
             base_blocks = blocks
             event_news[i] = sim.event_news - base_events
             base_events = sim.event_news
-            pool_news[i] = pool.news - base_pool
-            base_pool = pool.news
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -181,9 +177,6 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
         "blocks_within_budget":
             max(abs(d) for d in blocks_delta) <= BLOCKS_WINDOW_BUDGET,
         "event_news": event_news,
-        "pool_news": pool_news,
-        "pool": pool.stats(),
-        "pooling_enabled": pool.enabled,
     }
 
 
@@ -198,7 +191,7 @@ BLOCKS_WINDOW_BUDGET = 8192
 
 # The committed projection of a steady-state run: every field here is
 # byte-reproducible across processes and machines (counts of *fresh*
-# freelist constructions, budget booleans, run geometry) — unlike the
+# event-record constructions, budget booleans, run geometry) — unlike the
 # raw ``blocks_delta`` sawtooth, which wobbles ±1 with address layout.
 ALLOC_DETERMINISTIC_FIELDS = (
     "cell",
@@ -208,8 +201,6 @@ ALLOC_DETERMINISTIC_FIELDS = (
     "blocks_window_budget",
     "blocks_within_budget",
     "event_news",
-    "pool_news",
-    "pooling_enabled",
 )
 
 

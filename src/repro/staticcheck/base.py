@@ -112,7 +112,6 @@ def make_registry():
     """Instantiate the standard pass list (import here to avoid cycles)."""
     from repro.staticcheck.determinism import DeterminismPass
     from repro.staticcheck.dispatch import DispatchPass
-    from repro.staticcheck.pooling import PoolDisciplinePass
     from repro.staticcheck.protomodel import ProtocolModelPass
     from repro.staticcheck.purity import PurityPass
     from repro.staticcheck.suppressions import UnusedSuppressionPass
@@ -124,7 +123,6 @@ def make_registry():
         DeterminismPass(),
         TokenDisciplinePass(),
         PurityPass(),
-        PoolDisciplinePass(),
         UnusedSuppressionPass(),
     ]
 

@@ -6,9 +6,8 @@ friends) into them is how ambient state leaks in: an env-var default, a
 wall-clock timestamp, the global RNG, a background thread racing the
 event loop.  The determinism pass catches specific *uses*; this pass
 draws the coarser line at the import, which is also the cheapest place
-to review an exception — a reviewed ``# staticcheck: ignore[purity-import]``
-marks the one sanctioned case (``interconnect/message.py`` reading the
-``REPRO_POOLING`` kill-switch with ``os``).
+to review an exception.  There is none: no module in ``src/repro``
+suppresses this rule, and ``tests/test_staticcheck.py`` keeps it so.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -87,6 +90,36 @@ def test_callable_workload_is_uncacheable(small):
 # ---------------------------------------------------------------------------
 # Determinism: serial == parallel == cache replay, byte for byte.
 # ---------------------------------------------------------------------------
+_METRICS_DIGEST = """
+import hashlib, json
+from repro.common.params import SystemParams
+from repro.exp import Cell, run_cell
+cell = Cell(protocol="TokenCMP-dst1", workload="oltp",
+            workload_kwargs=(("refs_per_proc", 40),), seed=3,
+            params=SystemParams(num_chips=2, procs_per_chip=2,
+                                tokens_per_block=16))
+blob = json.dumps(run_cell(cell).metrics(), sort_keys=True)
+print(hashlib.sha256(blob.encode()).hexdigest())
+"""
+
+
+def test_hash_seed_does_not_leak_into_metrics():
+    # Worker processes hash strings differently: a cell's canonical
+    # metrics must not depend on set or dict hash order.
+    src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+    digests = set()
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src_dir + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run(
+            [sys.executable, "-c", _METRICS_DIGEST],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
+
+
 def test_parallel_matches_serial_bit_identical(small, tmp_path):
     spec = _spec(small)
     serial = Runner(jobs=1, cache_dir=str(tmp_path / "c1")).run(spec)

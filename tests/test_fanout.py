@@ -1,8 +1,7 @@
 """Broadcast fan-out: the template contract, plans and stored serialization.
 
 ``Network.send_fanout`` takes its template: untraced, every destination
-receives that very object, so a pool-owned template (which the pool
-would recycle while receivers still hold it) is refused.
+receives that very object, so no receiver may mutate it.
 ``_build_fanout_plan`` resolves a destination set with C-level passes;
 :func:`_oracle_plan` is the per-destination loop it replaced, and the
 reference it must equal on every set the token controllers build.  Each
@@ -13,14 +12,14 @@ the checks below hold those values to ``Link.serialization_ps``.
 import pytest
 
 from repro.common.params import SystemParams
-from repro.common.stats import Stats
 from repro.common.types import NodeId, NodeKind, ns
 from repro.core.base import holders_and_home
 from repro.core.l1 import TokenL1Controller
 from repro.core.l2 import TokenL2Controller
 from repro.exp.library import mesh_params
-from repro.faults.injector import FaultConfig, FaultyNetwork
-from repro.interconnect.message import Message, MessagePool, MsgType
+from repro.exp.runner import run_cell
+from repro.exp.spec import Cell
+from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import BufferedLink, Link, Network
 from repro.interconnect.topology import GENERATORS, Topology
 from repro.interconnect.traffic import Scope, TrafficMeter
@@ -91,21 +90,29 @@ def test_untraced_delivery_is_the_template_itself():
     assert all(msg is template for msg in received)
 
 
-@pytest.mark.parametrize("faulty", (False, True))
-def test_pooled_template_is_refused(faulty):
-    sim, net, p = _small_net()
-    meter = net.meter
-    if faulty:
-        net = FaultyNetwork(net, FaultConfig(), seed=1, stats=Stats())
-    src = p.l1d_of(0)
-    dests = (p.l1d_of(1), p.l2_bank(0, 0))
-    for node in dests:
-        net.register(node, lambda msg: None)
-    template = MessagePool(enabled=True).acquire(MsgType.TOK_GETS, src, src, 0)
-    with pytest.raises(ValueError, match="pooled template"):
-        net.send_fanout(template, dests)
-    assert sim.pending == 0
-    assert meter.messages == TrafficMeter().messages
+@pytest.mark.parametrize("protocol", ("TokenCMP-dst1", "TokenB"))
+def test_no_receiver_mutates_a_shared_template(monkeypatch, protocol):
+    # Untraced, every receiver of a broadcast holds the same template
+    # object, so one receiver's write would show in every other's view.
+    # Snapshot each template as it is handed over; none may change.
+    sent = []
+    send_fanout = Network.send_fanout
+
+    def snapshot_fanout(self, template, dests):
+        sent.append((template, dict(template.__dict__)))
+        return send_fanout(self, template, dests)
+
+    monkeypatch.setattr(Network, "send_fanout", snapshot_fanout)
+    run_cell(Cell(
+        protocol=protocol, workload="oltp",
+        workload_kwargs=(("refs_per_proc", 40),), seed=3,
+        params=SystemParams(num_chips=2, procs_per_chip=2,
+                            tokens_per_block=16),
+    ))
+    assert len(sent) > 100
+    changed = [(before, template.__dict__) for template, before in sent
+               if template.__dict__ != before]
+    assert changed == []
 
 
 def test_generator_dests_fan_out_like_their_tuple():

@@ -8,7 +8,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId, NodeKind, ns
-from repro.interconnect.message import Message, MsgType
+from repro.interconnect.message import Message, MessagePool, MsgType
 from repro.interconnect.network import Network
 from repro.interconnect.traffic import Scope, TrafficClass, TrafficMeter
 from repro.sim.kernel import Simulator
@@ -236,3 +236,42 @@ def test_fanout_plans_are_built_once_per_destination_set(monkeypatch):
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "8d0b568583625eb4a005fd9ee1c569bfb7a87a9375adc2c9400de423863d6031")
     assert result.runtime_ps == 20_234_772
+
+
+# ---------------------------------------------------------------------------
+# MessagePool: the machine's counting message constructor.
+# ---------------------------------------------------------------------------
+A, B = 10, 11  # arbitrary node ids
+
+
+def test_pool_clone_stamps_template_and_draws_fresh_uid():
+    pool = MessagePool()
+    template = pool.acquire_carrier(
+        MsgType.TOK_DATA, A, B, 0x40,
+        tokens=3, owner=True, data=0x77, dirty=True, epoch=2,
+    )
+    clone = pool.clone(template, dst=B + 1)
+    assert clone is not template
+    assert clone.dst == B + 1 and clone.uid == template.uid + 1
+    assert (clone.tokens, clone.owner, clone.data, clone.dirty, clone.epoch) \
+        == (3, True, 0x77, True, 2)
+    assert template.dst == B  # the template itself is untouched
+
+
+def test_pool_builds_fresh_messages_and_draws_one_uid_each():
+    # The uid counter is global: a constructor that drew extra (or
+    # fewer) uids per message would shift every later uid.
+    pool = MessagePool()
+    msgs = [pool.acquire(MsgType.TOK_GETS, A, B, 0x100)]
+    msgs.append(pool.acquire_carrier(
+        MsgType.TOK_ACK, A, B, 0x100,
+        tokens=1, owner=False, data=None, dirty=False, epoch=0,
+    ))
+    msgs.append(pool.clone(msgs[0], B + 1))
+    pool.release(msgs[0])  # a no-op: nothing is recycled
+    msgs.append(pool.acquire(MsgType.TOK_GETS, A, B, 0x100))
+    uids = [m.uid for m in msgs]
+    assert uids == list(range(uids[0], uids[0] + 4))
+    assert len({id(m) for m in msgs}) == 4
+    assert pool.acquires == pool.news == 4
+    assert msgs[3] == Message(MsgType.TOK_GETS, A, B, 0x100, uid=uids[3])

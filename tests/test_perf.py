@@ -61,12 +61,9 @@ def _steady(**overrides):
         "blocks_window_budget": 4096,
         "blocks_within_budget": True,
         "event_news": [0, 0],
-        "pool_news": [0, 0],
-        "pooling_enabled": True,
         # raw observational extras that must NOT survive projection
         "blocks_delta": [1939, -2],
         "blocks_delta_max_abs": 1939,
-        "pool": {"acquires": 99, "news": 0, "releases": 99, "free_end": 7},
     }
     steady.update(overrides)
     return steady
@@ -77,4 +74,4 @@ def test_alloc_report_projects_only_deterministic_fields(report_text):
     assert set(report["steady_state"]) == set(ALLOC_DETERMINISTIC_FIELDS)
     # The real document carries no address- or history-dependent field.
     keys = set(_keys(json.loads(report_text)))
-    assert not keys & {"blocks_delta", "blocks_delta_max_abs", "pool"}
+    assert not keys & {"blocks_delta", "blocks_delta_max_abs"}

@@ -3,11 +3,11 @@
 Untraced and unfaulted, the kernel relays each controller's lookup hop
 (``Simulator.relay_at``) instead of calling its ``handle`` trampoline,
 and ``Network.send_fanout`` delivers one shared message per broadcast
-instead of a pooled clone per destination.  These tests pin both the
-saved work and the contract that nothing observable moves: the same
-events fire in the same order, so every ``CellResult`` is byte-identical
-across the tracer, the profiler, split runs, pooling on/off and the
-fault injector's two-event path.
+instead of a clone per destination.  These tests pin both the saved
+work and the contract that nothing observable moves: the same events
+fire in the same order, so every ``CellResult`` is byte-identical across
+the tracer, the profiler, split runs and the fault injector's two-event
+path.
 """
 
 import pytest
@@ -43,8 +43,8 @@ def _small_cell(**overrides):
 # ---------------------------------------------------------------------------
 def test_pool_acquires_one_per_fanout_plus_carriers(monkeypatch):
     # A broadcast's template is a plain message delivered as is, so the
-    # pool serves only the token carriers: 2,318 acquires on this cell
-    # (12,425 with a pooled template per fan-out, 88,389 with clones).
+    # pool builds only the token carriers: 2,318 acquires on this cell
+    # (12,425 with a pool-built template per fan-out, 88,389 with clones).
     counts = {"fanouts": 0, "carriers": 0}
     send_fanout = Network.send_fanout
     acquire_carrier = MessagePool.acquire_carrier
@@ -192,15 +192,6 @@ def test_fanout_link_state_identical_with_tracer_on_and_off(protocol, fabric):
             assert buffered_tail and not per_hop
         elif fabric == "ptp-buffered-intra":
             assert per_hop
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_result_identical_with_pooling_on_and_off(monkeypatch, protocol):
-    blobs = []
-    for pooling in ("0", "1"):
-        monkeypatch.setenv("REPRO_POOLING", pooling)
-        blobs.append(run_cell(_small_cell(protocol=protocol)).to_json())
-    assert blobs[0] == blobs[1]
 
 
 def test_profiler_counts_every_relayed_event():

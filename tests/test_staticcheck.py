@@ -28,7 +28,6 @@ from repro.staticcheck import (
 from repro.staticcheck.determinism import DeterminismPass
 from repro.staticcheck.dispatch import DispatchPass
 from repro.staticcheck.findings import Finding
-from repro.staticcheck.pooling import PoolDisciplinePass
 from repro.staticcheck.purity import PurityPass
 from repro.staticcheck.source import parse_source
 from repro.staticcheck.tokens import TokenDisciplinePass
@@ -55,7 +54,7 @@ def test_repo_tree_is_clean():
     findings, pass_ids = run_passes()
     assert pass_ids == [
         "dispatch", "protocol-model", "determinism", "tokens", "purity",
-        "pooling", "suppressions",
+        "suppressions",
     ]
     assert findings == []
 
@@ -313,128 +312,6 @@ def test_token_mutation_in_ledger_allowed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Pool discipline.
-# ---------------------------------------------------------------------------
-def test_pool_store_on_instance_flagged(tmp_path):
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class RogueController:
-            def _process(self, msg):
-                self._last = msg  # aliases a recycled record
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert [f.rule for f in ours] == ["pool-discipline"]
-    assert "stored on the instance" in ours[0].message
-
-
-def test_pool_container_escape_flagged(tmp_path):
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class RogueController:
-            def handle(self, msg):
-                self._backlog.append(msg)
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert [f.rule for f in ours] == ["pool-discipline"]
-    assert "container" in ours[0].message
-
-
-def test_pool_closure_capture_flagged(tmp_path):
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class RogueController:
-            def _process(self, msg):
-                def _later():
-                    self._send(msg.mtype, msg.requestor, msg.addr)
-                self.sim.call_after(100, _later)
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert [f.rule for f in ours] == ["pool-discipline"]
-    assert "closure" in ours[0].message
-
-
-def test_pool_closure_with_own_msg_param_allowed(tmp_path):
-    # A nested function that takes its *own* msg parameter shadows the
-    # handled one — no capture, nothing to flag.
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class FineController:
-            def _process(self, msg):
-                def _relay(msg):
-                    self._send(msg)
-                self._relay_fn = _relay
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert ours == []
-
-
-def test_pool_use_after_release_flagged(tmp_path):
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class RogueController:
-            def _process(self, msg):
-                self.pool.release(msg)
-                self.stats.bump(msg.mtype.name)  # record may be reissued
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert [f.rule for f in ours] == ["pool-discipline"]
-    assert "after release" in ours[0].message
-
-
-def test_pool_scalar_copy_and_lambda_over_scalars_allowed(tmp_path):
-    # The sanctioned shape: copy the scalars out, defer over those.
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class FineController:
-            def _process(self, msg):
-                mtype, addr, req = msg.mtype, msg.addr, msg.requestor
-                self.sim.call_after(100, lambda: self._send(mtype, req, addr))
-                self.pool.release(msg)
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert ours == []
-
-
-def test_pool_approved_retention_site_allowed(tmp_path):
-    # Arbiter._process queues the (unpooled) persistent request by design.
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class Arbiter:
-            def _process(self, msg):
-                self._queue.append(msg)
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert ours == []
-
-
-def test_pool_suppression_comment(tmp_path):
-    ours = _run_fixture(
-        tmp_path,
-        """
-        class RogueController:
-            def _process(self, msg):
-                self._last = msg  # staticcheck: ignore[pool-discipline]
-        """,
-        passes=[PoolDisciplinePass()],
-    )
-    assert ours == []
-
-
-# ---------------------------------------------------------------------------
 # Purity.
 # ---------------------------------------------------------------------------
 def test_purity_flags_forbidden_imports(tmp_path):
@@ -458,6 +335,18 @@ def test_purity_suppression_comment(tmp_path):
         passes=[PurityPass()],
     )
     assert ours == []
+
+
+def test_src_has_no_purity_import_suppression():
+    # The simulation packages import no ambient-state module at all: an
+    # exception has to be argued in review, not carried as a comment.
+    sites = [
+        f"{src.path}:{line}"
+        for src in load_tree(REPO_ROOT / "src" / "repro")
+        for line, rules in src.suppressions.items()
+        if "purity-import" in rules
+    ]
+    assert sites == []
 
 
 def test_suppression_line_above_and_wildcard():
