@@ -27,23 +27,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.analysis.report import ResultTable
 from repro.common.params import SystemParams
-from repro.exp.library import EXPERIMENTS, render_text
+from repro.exp.library import EXPERIMENTS, GRID_MAX_EVENTS, render_text
 from repro.exp.runner import ExperimentResult, Runner
 from repro.exp.spec import Cell, ExperimentSpec
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CACHE_DIR = os.path.join(RESULTS_DIR, ".cache")
-
-TOKEN_VARIANTS = [
-    "TokenCMP-dst4",
-    "TokenCMP-dst1",
-    "TokenCMP-dst1-pred",
-    "TokenCMP-dst1-filt",
-]
-DIR_VARIANTS = ["DirectoryCMP", "DirectoryCMP-zero"]
-PERSISTENT_ONLY = ["TokenCMP-arb0", "TokenCMP-dst0"]
-
-GRID_MAX_EVENTS = 120_000_000
 
 
 def full_params() -> SystemParams:

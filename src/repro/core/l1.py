@@ -93,7 +93,7 @@ class TokenL1Controller(TokenCacheController):
     def access(self, op, done: Callable[[int], None]) -> None:
         """Perform a memory operation; ``done(result)`` at completion."""
         addr = self.params.block_of(op.addr)
-        # Recyclable single-arg event (call_after): the op/addr/done pack
+        # No-handle single-arg event (call_after): the op/addr/done pack
         # rides in one tuple instead of an Event handle with an args tuple.
         self.sim.call_after(self.lookup_latency_ps, self._attempt, (op, addr, done))
 

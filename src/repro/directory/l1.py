@@ -85,7 +85,7 @@ class DirL1Controller:
     # ------------------------------------------------------------------
     def access(self, op, done: Callable[[int], None]) -> None:
         addr = self.params.block_of(op.addr)
-        # Recyclable single-arg event (call_after): the op/addr/done pack
+        # No-handle single-arg event (call_after): the op/addr/done pack
         # rides in one tuple instead of an Event handle with an args tuple.
         self._call_after(self._latency_ps, self._attempt_cb, (op, addr, done))
 

@@ -128,7 +128,7 @@ def _explain(name: str, a: bytes, b: bytes,
              names: Tuple[str, str] = ("baseline", "output")) -> List[str]:
     """What changed from ``a`` to ``b``: the changed ``repro diff`` rows
     of a JSON document, else (or when those rows are all whole-text
-    leaves, such as a list of records) the head of a unified diff."""
+    leaves, such as a list of lists) the head of a unified diff."""
     from repro.obs.diff import diff_report, render_diff_report
 
     text_a = a.decode("utf-8", "replace")

@@ -199,4 +199,4 @@ class MessagePool:
         return template.clone_to(dst)
 
     def release(self, msg: Message) -> None:
-        """No-op: messages are not recycled (kept for the harness)."""
+        """No-op: every message is built fresh (kept for the harness)."""

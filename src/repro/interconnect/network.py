@@ -418,7 +418,6 @@ class Network:
         # statically satisfied).  ``seq`` stays local until the end: no
         # callback runs inside the loop.
         queue = sim._queue
-        efree = sim._free_events
         seq = sim._seq
         if first is None:  # every copy starts at ``now``
             hop = now
@@ -455,20 +454,10 @@ class Network:
                     arrival = link.traverse(arrival, nbytes)
             handler, relay_ps, callee = endpoint
             seq += 1
-            if efree:
-                event = efree.pop()
-                event[0] = arrival
-                event[1] = seq
-                event[2] = handler
-                event[3] = template
-                event[4] = relay_ps
-                event[5] = callee
-            else:
-                sim.event_news += 1
-                event = [arrival, seq, handler, template, relay_ps, callee]
-            heappush(queue, event)
+            heappush(queue, [arrival, seq, handler, template, relay_ps, callee])
         sim._seq = seq
         sim._pending += n
+        sim.event_news += n
 
     def send_clones(self, template: Message, dests) -> None:
         """Send a clone of ``template`` to each of ``dests``."""

@@ -9,7 +9,8 @@ as in ``python -m repro diff a.json b.json --gate 'counters.*:5'``).
 Numbers keep their value; identity leaves (strings, bools, nulls) and
 whole lists are compared by their canonical JSON text, so a renamed
 cell or a changed digest is a changed row that any matching gate
-rejects, whatever its tolerance.
+rejects, whatever its tolerance.  A list of records is also walked
+record by record, so a moved field names its record.
 
 Telemetry documents get a schema-aware projection first (end-of-run
 value and peak per series, window counts per saturation kind) — diffing
@@ -47,12 +48,16 @@ def _flatten_generic(node, prefix: str, out: Dict[str, Value]) -> None:
         return
     if isinstance(node, list):
         # Beside the list's own text row, a numeric summary that
-        # tolerance gates can bound.
+        # tolerance gates can bound, and for a list of records each
+        # record's own rows (``links[3].latency_ps``).
         numbers = [v for v in node if isinstance(v, (int, float))
                    and not isinstance(v, bool)]
         out[f"{prefix}.len"] = len(node)
         if numbers and len(numbers) == len(node):
             out[f"{prefix}.last"] = numbers[-1]
+        if node and all(isinstance(v, dict) for v in node):
+            for i, item in enumerate(node):
+                _flatten_generic(item, f"{prefix}[{i}]", out)
     # Strings, bools, nulls and whole lists carry identity: compared by
     # their canonical text.
     out[prefix] = dumps(node)[:-1]

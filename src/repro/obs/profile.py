@@ -48,8 +48,8 @@ class KernelProfiler:
         # site -> [fired events, total wall ns, max wall ns]
         self.sites: Dict[str, List[int]] = {}
         self.rate_every_events = rate_every_events
-        # (sim ps, fired, wall ns, allocated blocks, fresh event records)
-        self._rates: List[Tuple[int, int, int, int, int]] = []
+        # (sim ps, fired, wall ns, allocated blocks)
+        self._rates: List[Tuple[int, int, int, int]] = []
         self._sim = None
         self._saved_pop = None  # the heappop attach() replaced
         self._fn = None  # callback behind the trampoline being popped
@@ -107,7 +107,7 @@ class KernelProfiler:
         sim = self._sim
         self._rates.append(
             (sim.now, sim.events_fired, time.perf_counter_ns(),
-             sys.getallocatedblocks(), sim.event_news)
+             sys.getallocatedblocks())
         )
 
     # ------------------------------------------------------------------
@@ -130,33 +130,24 @@ class KernelProfiler:
     def alloc_counters(self) -> Dict[str, int]:
         """The ``alloc.*`` probe family sampled at the rate ticks.
 
-        ``alloc.event_news`` (fresh kernel event records constructed
-        between the first and last tick — zero in steady state, every
-        record comes off the kernel freelist) is deterministic;
         ``alloc.blocks_delta`` (net ``sys.getallocatedblocks()`` growth
-        over the same span) depends on process history and gc timing,
-        so it is observational only — like wall time, it never enters
-        the deterministic projection.  See docs/observability.md.
+        between the first and last tick) depends on process history and
+        gc timing, so it is observational only — like wall time, it never
+        enters the deterministic projection.  See docs/observability.md.
         """
         if len(self._rates) < 2:
-            return {"alloc.event_news": 0, "alloc.blocks_delta": 0}
-        first, last = self._rates[0], self._rates[-1]
-        return {
-            "alloc.event_news": last[4] - first[4],
-            "alloc.blocks_delta": last[3] - first[3],
-        }
+            return {"alloc.blocks_delta": 0}
+        return {"alloc.blocks_delta": self._rates[-1][3] - self._rates[0][3]}
 
     def to_dict(self) -> dict:
         """Deterministic projection of the profile.
 
         Wall-clock and allocator-block fields (total/max ns per site,
         the rate snapshots' wall and blocks columns) are *excluded* —
-        what remains (per-site fired-event counts, the ``(sim ps,
-        events fired)`` rate checkpoints, and the fresh-event-record
-        counter) is a pure function of the simulation, so the
-        projection can ride the canonical-JSON path and be compared
-        across runs with ``python -m repro diff``, exactly like PR 5's
-        CheckResult.
+        what remains (per-site fired-event counts and the ``(sim ps,
+        events fired)`` rate checkpoints) is a pure function of the
+        simulation, so the projection can ride the canonical-JSON path
+        and be compared across runs with ``python -m repro diff``.
         """
         return {
             "schema": "repro.profile/1",
@@ -166,10 +157,7 @@ class KernelProfiler:
             "events_profiled": self.events_profiled,
             "rate_every_events": self.rate_every_events,
             "rates": [[sim_ps, fired]
-                      for sim_ps, fired, _wall, _blocks, _news in self._rates],
-            "alloc": {
-                "event_news": self.alloc_counters()["alloc.event_news"],
-            },
+                      for sim_ps, fired, _wall, _blocks in self._rates],
         }
 
     def report(self, top: int = 20) -> str:
@@ -188,8 +176,8 @@ class KernelProfiler:
                 f" {total / count / 1e3:8.2f} {peak / 1e3:8.2f}"
             )
         if len(self._rates) >= 2:
-            sim0, fired0, wall0, blocks0, news0 = self._rates[0]
-            sim1, fired1, wall1, blocks1, news1 = self._rates[-1]
+            sim0, fired0, wall0, blocks0 = self._rates[0]
+            sim1, fired1, wall1, blocks1 = self._rates[-1]
             wall_s = max(1e-9, (wall1 - wall0) / 1e9)
             lines.append(
                 f"  rate: {(fired1 - fired0) / wall_s:,.0f} events/s, "
@@ -197,8 +185,7 @@ class KernelProfiler:
                 f"over {len(self._rates) - 1} watcher intervals"
             )
             lines.append(
-                f"  alloc: {news1 - news0} fresh event records, "
-                f"{blocks1 - blocks0:+d} allocator blocks "
+                f"  alloc: {blocks1 - blocks0:+d} allocator blocks "
                 f"across the profiled span"
             )
         return "\n".join(lines)

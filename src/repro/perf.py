@@ -11,21 +11,20 @@ compares both outputs with the committed ``BENCH_work.json``.
 The ``repro.bench_work/1`` document has two parts:
 
 * ``work`` — one profiled run of the cell: fired events, simulated
-  runtime, fresh kernel event records over the whole run
-  (``event_news``), the SHA-256 of the canonical metrics JSON, and the
+  runtime, the SHA-256 of the canonical metrics JSON, and the
   :class:`~repro.obs.profile.KernelProfiler`'s deterministic projection
   (events per callback site, which sum to ``events``).  A change that
   moves work between sites, or adds or removes events, shows as a diff
   here even when the metrics stay put.
 * ``steady_state`` — allocation accounting over event windows after
   warmup (:func:`bench_alloc_steady_state`), projected onto
-  :data:`ALLOC_DETERMINISTIC_FIELDS`: every kernel event record must
-  be recycled, so the fresh-record counter reads zero in every window,
-  and retained allocator blocks must stay under a per-window budget.
+  :data:`ALLOC_DETERMINISTIC_FIELDS`: retained allocator blocks must
+  stay under a per-window budget, which catches any per-event leak.
 
-The report carries the Python major.minor it ran on, because freelist
-and allocator behaviour can shift between interpreter versions; the
-committed file is recorded on 3.11, the version the gate runs.
+The report carries the Python major.minor it ran on, because type
+freelist and allocator behaviour can shift between interpreter
+versions; the committed file is recorded on 3.11, the version the gate
+runs.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ def bench_work() -> Dict[str, object]:
         "cell": _cell_label(cell),
         "events": sim.events_fired,
         "runtime_ps": res.runtime_ps,
-        "event_news": sim.event_news,
         "metrics_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "profile": profiler.to_dict(),
     }
@@ -109,21 +107,17 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
 
     Runs the pinned cell's machine in event windows and samples
     ``sys.getallocatedblocks()`` (gc disabled, so the deltas are a pure
-    function of the simulation) plus the event freelist's "fresh
-    allocation" counter, ``Simulator.event_news``.  After warmup it must
-    stay flat: every event record is recycled, which is the
-    zero-allocation claim the work report pins.  Coherence messages are
-    built fresh and freed on delivery, so they show up only in
-    ``blocks_delta``.
+    function of the simulation).  Kernel event records and coherence
+    messages are built fresh and freed once fired or delivered, so after
+    warmup the retained block count must stay flat.
 
     ``blocks_delta`` per window is *near* zero rather than exactly zero:
     retained measurement state (latency-percentile samples, first-touch
     interning) still grows at a decaying rate, and the exact count
     wobbles by ±1 across processes (id-hashed enum members make some
     set/dict layouts address-dependent), so the raw sawtooth is
-    informational.  What the report pins exactly is ``event_news``
-    (must be all zero) and ``blocks_within_budget``
-    (every window delta under :data:`BLOCKS_WINDOW_BUDGET`) — see
+    informational.  The report pins ``blocks_within_budget`` (every
+    window delta under :data:`BLOCKS_WINDOW_BUDGET`) instead; see
     :data:`ALLOC_DETERMINISTIC_FIELDS`.
     """
     import gc
@@ -147,21 +141,17 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
     sim.run(max_events=warmup_events)
 
     blocks_delta = [0] * windows
-    event_news = [0] * windows
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         _saturate_type_freelists()
         base_blocks = sys.getallocatedblocks()
-        base_events = sim.event_news
         for i in range(windows):
             sim.run(max_events=window_events)
             blocks = sys.getallocatedblocks()
             blocks_delta[i] = blocks - base_blocks
             base_blocks = blocks
-            event_news[i] = sim.event_news - base_events
-            base_events = sim.event_news
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -176,23 +166,22 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
         "blocks_window_budget": BLOCKS_WINDOW_BUDGET,
         "blocks_within_budget":
             max(abs(d) for d in blocks_delta) <= BLOCKS_WINDOW_BUDGET,
-        "event_news": event_news,
     }
 
 
 # Retained-growth ceiling per measurement window, in allocator blocks.
 # The steady-state sawtooth (latency-percentile sample retention,
 # first-touch interning, fan-out plan rows filling to their bound and
-# clearing) peaks around 0.45 blocks/event and is bounded, not
-# accumulating; a single leaked message or event record per simulated
-# event would cost ~4+ blocks/event (~40k/window), so this budget keeps
-# ~5x of air while still catching any per-event leak.
+# clearing) peaks around 0.11 blocks/event (1,100 per window) and is
+# bounded, not accumulating; a single leaked message or event record per
+# simulated event would cost ~4+ blocks/event (~40k/window), so this
+# budget keeps ~7x of air while still catching any per-event leak.
 BLOCKS_WINDOW_BUDGET = 8192
 
 # The committed projection of a steady-state run: every field here is
-# byte-reproducible across processes and machines (counts of *fresh*
-# event-record constructions, budget booleans, run geometry) — unlike the
-# raw ``blocks_delta`` sawtooth, which wobbles ±1 with address layout.
+# byte-reproducible across processes and machines (budget booleans, run
+# geometry) — unlike the raw ``blocks_delta`` sawtooth, which wobbles ±1
+# with address layout.
 ALLOC_DETERMINISTIC_FIELDS = (
     "cell",
     "warmup_events",
@@ -200,7 +189,6 @@ ALLOC_DETERMINISTIC_FIELDS = (
     "windows",
     "blocks_window_budget",
     "blocks_within_budget",
-    "event_news",
 )
 
 

@@ -19,16 +19,14 @@ cost is kept to a handful of C-level operations:
   and fixes the live-event count; the dead entry stays in the heap and
   is discarded when it surfaces.  The common no-cancel path never pays
   for cancellation support beyond one ``is None`` check per event.
-* **No-handle events are recycled.**  Most events in a simulation —
+* **No-handle events skip the handle.**  Most events in a simulation —
   message deliveries, lookup-latency hops, thread resumptions — are
   never cancelled, so their handles are never kept.  :meth:`Simulator.
   call_after` / :meth:`Simulator.call_at` schedule a single-argument
   callback as a plain ``[time, seq, fn, arg, relay, callee]`` list
-  (``relay`` 0) drawn from a per-simulator freelist and returned to it
-  right after firing: the steady state allocates no new heap entries
-  and no ``args`` tuples.  The run loop tells the two shapes apart with
-  one ``type(event) is list`` check (handle events are :class:`Event`
-  instances).
+  (``relay`` 0): one list literal per event and no ``args`` tuple.  The
+  run loop tells the two shapes apart with one ``type(event) is list``
+  check (handle events are :class:`Event` instances).
 * **The kernel relays lookup hops.**  A controller's network entry
   point typically does nothing but ``call_after(lookup, callee, msg)``.
   :meth:`Simulator.relay_at` schedules such a delivery as one record
@@ -38,7 +36,7 @@ cost is kept to a handful of C-level operations:
   puts ``callee`` in the callback slot, re-pushes it and counts one
   fired event — exactly what the entry point's ``call_after`` would
   have done, in the same ``(time, seq)`` order, without a Python frame
-  or a freelist round trip.  The callee is restored from its own slot,
+  or a second record.  The callee is restored from its own slot,
   so an observer that swaps the callback slot on pop cannot leak into
   the relayed record.
 * **Watchers are threshold-driven.**  Instead of a per-event
@@ -127,8 +125,7 @@ class Simulator:
 
     __slots__ = (
         "_queue", "_now", "_seq", "_pending", "events_fired",
-        "_watchers", "_watch_next", "tracer",
-        "_free_events", "event_news",
+        "_watchers", "_watch_next", "tracer", "event_news",
     )
 
     def __init__(self) -> None:
@@ -140,10 +137,9 @@ class Simulator:
         self._watchers: list = []  # [every_events, fn, next_due] records
         self._watch_next = _NEVER  # min next_due over watchers
         self.tracer = None  # repro.obs.trace.Tracer (attach() sets this)
-        # Freelist of recycled no-handle event records (call_after /
-        # call_at).  ``event_news`` counts fresh record allocations — the
-        # alloc benchmarks read it; in steady state it stops growing.
-        self._free_events: list = []
+        # No-handle records constructed (call_after / call_at / relay_at
+        # and Network.send_fanout; a relayed record counts once).  Kept
+        # only for the host-time harness (``hostbench/``), which reads it.
         self.event_news: int = 0
 
     def add_watcher(self, fn: Callable[[], None], every_events: int = 1024) -> None:
@@ -217,15 +213,13 @@ class Simulator:
         return self.schedule(time_ps - self._now, fn, *args)
 
     def call_after(self, delay_ps: int, fn: Callable[[Any], Any], arg: Any) -> None:
-        """Run ``fn(arg)`` after ``delay_ps``; no handle, entry recycled.
+        """Run ``fn(arg)`` after ``delay_ps``; no handle.
 
-        The no-allocation fast path for the overwhelmingly common case —
-        message deliveries, lookup-latency hops, thread resumptions —
-        where the caller never cancels.  The heap entry is a plain
-        ``[time, seq, fn, arg, relay, callee]`` list with ``relay`` 0
-        (recycled records always have it cleared), drawn from the
-        simulator's freelist and returned to it right after firing, and
-        ``arg`` is stored directly (no ``args`` tuple).  Time/sequence
+        The fast path for the overwhelmingly common case — message
+        deliveries, lookup-latency hops, thread resumptions — where the
+        caller never cancels.  The heap entry is a plain
+        ``[time, seq, fn, arg, relay, callee]`` list with ``relay`` 0,
+        and ``arg`` is stored directly (no ``args`` tuple).  Time/sequence
         semantics are identical to :meth:`schedule`, so swapping a
         ``schedule`` call site to ``call_after`` never changes simulated
         behaviour.
@@ -233,18 +227,9 @@ class Simulator:
         if delay_ps < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay_ps})")
         self._seq = seq = self._seq + 1
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event[0] = self._now + delay_ps
-            event[1] = seq
-            event[2] = fn
-            event[3] = arg
-        else:
-            self.event_news += 1
-            event = [self._now + delay_ps, seq, fn, arg, 0, None]
+        self.event_news += 1
         self._pending += 1
-        heappush(self._queue, event)
+        heappush(self._queue, [self._now + delay_ps, seq, fn, arg, 0, None])
 
     def call_at(self, time_ps: int, fn: Callable[[Any], Any], arg: Any) -> None:
         """Run ``fn(arg)`` at absolute ``time_ps`` (>= now); no handle.
@@ -258,18 +243,9 @@ class Simulator:
                 f"cannot schedule in the past (t={time_ps} < now={self._now})"
             )
         self._seq = seq = self._seq + 1
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event[0] = time_ps
-            event[1] = seq
-            event[2] = fn
-            event[3] = arg
-        else:
-            self.event_news += 1
-            event = [time_ps, seq, fn, arg, 0, None]
+        self.event_news += 1
         self._pending += 1
-        heappush(self._queue, event)
+        heappush(self._queue, [time_ps, seq, fn, arg, 0, None])
 
     def relay_at(
         self,
@@ -295,20 +271,9 @@ class Simulator:
                 f"cannot schedule in the past (t={time_ps} < now={self._now})"
             )
         self._seq = seq = self._seq + 1
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event[0] = time_ps
-            event[1] = seq
-            event[2] = fn
-            event[3] = arg
-            event[4] = relay_ps
-            event[5] = callee
-        else:
-            self.event_news += 1
-            event = [time_ps, seq, fn, arg, relay_ps, callee]
+        self.event_news += 1
         self._pending += 1
-        heappush(self._queue, event)
+        heappush(self._queue, [time_ps, seq, fn, arg, relay_ps, callee])
 
     @property
     def pending(self) -> int:
@@ -374,7 +339,6 @@ class Simulator:
         push = heappush
         total = self.events_fired
         end = total + (_NEVER if max_events is None else max_events)
-        recycle = self._free_events.append
         stop = None
         if until is not None:
             stop = [until, _NEVER, None, None, 0, None]
@@ -390,7 +354,7 @@ class Simulator:
                             self._now = until
                         return self._now
                     continue  # cancelled: uncounted by Event.cancel
-                if type(event) is list:  # recyclable no-handle entry
+                if type(event) is list:  # no-handle entry
                     relay = event[4]
                     if relay:
                         # Relayed lookup hop: the entry point's
@@ -405,9 +369,6 @@ class Simulator:
                         self._pending -= 1
                         self._now = event[0]
                         fn(event[3])
-                        event[2] = None
-                        event[3] = None  # drop the arg reference promptly
-                        recycle(event)
                 else:
                     self._pending -= 1
                     self._now = event[0]

@@ -8,7 +8,7 @@ both directory variants on ``oltp`` (120 refs/proc) and ``locking``
 
 The budget test is a deterministic work counter for the controllers'
 scheduling idiom: every latency hop and delivery rides the kernel's
-recycled no-handle path (``call_after``); only the L1's cancellable
+no-handle path (``call_after``); only the L1's cancellable
 hold-window deferral takes an :class:`~repro.sim.kernel.Event` handle.
 """
 

@@ -6,12 +6,15 @@ to see each way an entry can fail and that ``--update`` repairs a
 baseline.
 """
 
+import json
 import shutil
 
 import pytest
 
 from repro.__main__ import COMMANDS, build_parser
-from repro.golden import MANIFEST, ROOT, Entry, Run, _verdict, check
+from repro.common import dumps
+from repro.golden import MANIFEST, ROOT, Entry, Run, _explain, _verdict, check
+from repro.obs.diff import diff_docs
 
 PROFILE = next(e for e in MANIFEST if "profile" in e.baseline)
 
@@ -71,3 +74,24 @@ def test_update_refuses_a_nondeterministic_artifact(tmp_path):
     assert status.startswith("FAIL, nondeterministic")
     assert any(line.lstrip().startswith("a ") for line in detail)
     assert not (tmp_path / "doc.json").exists()
+
+
+def test_a_moved_record_field_is_named_by_its_row():
+    # A list of records is flattened record by record, so +1 ps on one
+    # link of a ``topo --json`` document is a numeric row naming the
+    # link and its field, and the gate explains the change with it.
+    topo = next(e for e in MANIFEST if e.baseline.endswith("ptp_4x4.json"))
+    before = (ROOT / topo.baseline).read_bytes()
+    doc = json.loads(before)
+    doc["links"][3]["latency_ps"] += 1
+    after = dumps(doc, indent=2).encode()
+
+    changed = {r["key"]: r for r in diff_docs(json.loads(before), doc)
+               if r["a"] != r["b"]}
+    assert set(changed) == {"links", "links[3].latency_ps"}
+    assert changed["links[3].latency_ps"]["delta"] == 1
+
+    lines = _explain(topo.baseline, before, after)
+    assert any(line.split()[0] == "links[3].latency_ps"
+               for line in lines[1:])
+    assert not any(line.startswith(("---", "+++", "@@")) for line in lines)

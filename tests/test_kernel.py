@@ -418,6 +418,62 @@ def test_profiler_hook_sees_each_relay_under_its_callee():
 
 
 # ---------------------------------------------------------------------------
+# ``event_news``: the no-handle records the kernel builds.
+# ---------------------------------------------------------------------------
+def test_event_news_counts_each_no_handle_record_once():
+    sim = Simulator()
+    log = []
+
+    def entry(tag):
+        log.append(("entry", tag))  # never reached when relayed
+
+    steps = (
+        lambda: sim.call_after(1, log.append, "after"),
+        lambda: sim.call_at(sim.now + 1, log.append, "at"),
+        lambda: sim.relay_at(sim.now + 1, log.append, "unrelayed", 0, None),
+        lambda: sim.relay_at(sim.now + 1, entry, "relayed", 5, log.append),
+    )
+    for step in steps:
+        before = sim.event_news
+        step()
+        assert sim.event_news == before + 1
+        # Firing, and re-pushing a relayed record, builds nothing new.
+        sim.run()
+        assert sim.event_news == before + 1
+    sim.schedule(1, log.append, "handle")
+    sim.schedule_at(sim.now + 2, log.append, "handle_at")
+    sim.run()
+    assert sim.event_news == len(steps)
+    assert log == ["after", "at", "unrelayed", "relayed", "handle",
+                   "handle_at"]
+    assert sim.events_fired == 7  # the relay hop counts as an event
+
+
+def test_event_news_counts_one_record_per_fanout_destination():
+    from repro.common.params import SystemParams
+    from repro.interconnect.message import Message, MsgType
+    from repro.interconnect.network import Network
+    from repro.interconnect.traffic import TrafficMeter
+
+    params = SystemParams(num_chips=2, procs_per_chip=2, tokens_per_block=16)
+    sim = Simulator()
+    net = Network(sim, params, TrafficMeter())
+    src = params.l1d_of(0)
+    dests = net.intern_dests(
+        tuple(n for n in params.token_holders(0) if n != src))
+    received = []
+    for node in dests:
+        net.register(node, received.append)
+    template = Message(MsgType.TOK_GETS, src, src, 0, requestor=src)
+    for sent in (1, 2):
+        before = sim.event_news
+        net.send_fanout(template, dests)
+        assert sim.event_news == before + len(dests)
+        sim.run()
+        assert len(received) == sent * len(dests)
+
+
+# ---------------------------------------------------------------------------
 # The ``until`` sentinel: a blank heap entry that ends a bounded run.
 # ---------------------------------------------------------------------------
 def test_until_past_a_drained_queue_keeps_the_last_event_time():

@@ -60,7 +60,6 @@ def _steady(**overrides):
         "windows": 2,
         "blocks_window_budget": 4096,
         "blocks_within_budget": True,
-        "event_news": [0, 0],
         # raw observational extras that must NOT survive projection
         "blocks_delta": [1939, -2],
         "blocks_delta_max_abs": 1939,

@@ -475,11 +475,11 @@ def test_identity_leaves_and_lists_are_gated(tmp_path, capsys):
     # Bools, nulls and whole lists are compared by their text too: a
     # drift in an early window is caught, not only in the last one.
     c = json.loads(json.dumps(a))
-    c["steady_state"]["event_news"][0] = 1
+    c["work"]["profile"]["rates"][0][1] = 1
     c["steady_state"]["blocks_within_budget"] = False
     rows = {r["key"]: r for r in diff_docs(a, c)}
-    assert rows["steady_state.event_news"]["b"].startswith("[1,0,")
-    assert rows["steady_state.event_news.last"]["delta"] == 0
+    assert rows["work.profile.rates"]["b"].startswith("[[0,1],")
+    assert rows["work.profile.rates.len"]["delta"] == 0
     assert rows["steady_state.blocks_within_budget"]["a"] == "true"
     assert rows["steady_state.blocks_within_budget"]["b"] == "false"
     assert diff_report(a, c)["changed"] == 2
