@@ -18,6 +18,11 @@ enumeration of a down-scaled protocol model's state space, checking
 Models are pure-Python objects over hashable states; see
 :mod:`repro.verification.token_model` and
 :mod:`repro.verification.dir_model`.
+
+Apart from the states themselves, the explored graph is stored as flat
+int32 arrays indexed by a dense state id: parent ids and, when liveness
+is checked, successor ids in compressed sparse rows (CSR) and the
+reversed edges in a second CSR.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import time
+from array import array
+from itertools import accumulate
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import VerificationError
@@ -110,13 +117,16 @@ def check(
     trace for safety violations and deadlocks, and with a culprit state
     for liveness violations.
 
-    Each canonical state is hashed once, when it is first seen, and
-    interned as a dense int id; everything else (BFS frontier, parent
-    chain, depth, successor lists, quiescence) is kept in id-indexed
-    lists.  A model that keeps the inherited identity
-    :meth:`Model.canonicalize` is not called for it.  The cyclic garbage
-    collector is off for the run: states, the id store and the successor
-    lists are acyclic, so its passes over them would find nothing.
+    Every edge hashes its canonical target once: one ``setdefault``
+    finds its int id or interns it as the next dense id.  The graph is
+    kept in flat ``array('i')`` columns indexed by id: parent ids and,
+    for the liveness pass, the successor ids of every state concatenated
+    in BFS order with per-state end offsets (CSR).  Labels are an
+    id-indexed list, quiescence a ``bytearray``, and the diameter is the
+    BFS level of the last state discovered.  A model that keeps the
+    inherited identity :meth:`Model.canonicalize` is not called for it.
+    The cyclic garbage collector is off for the run: states and the id
+    store are acyclic, so its passes over them would find nothing.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -134,24 +144,30 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
         canonicalize = None  # the identity: no reduction to apply
     index: Dict[State, int] = {}
     states: List[State] = []  # id -> state; doubles as the BFS queue
-    parent: List[int] = []  # id -> predecessor id (-1 for initial states)
+    parent = array("i")  # id -> predecessor id (-1 for initial states)
     label: List[Optional[str]] = []  # id -> label of the discovering edge
-    depth: List[int] = []
-    successors: List[Tuple[int, ...]] = []
+    succ = array("i")  # successor ids of every state, concatenated
+    succ_end = array("i")  # id -> end of its successors in ``succ``
     quiescent = bytearray()
+    succ_append = succ.append
+    nstates = 0
     for s in model.initial_states():
         if canonicalize is not None:
             s = canonicalize(s)
-        if s not in index:
-            index[s] = len(states)
+        if index.setdefault(s, nstates) == nstates:
+            nstates += 1
             states.append(s)
             parent.append(-1)
             label.append(None)
-            depth.append(0)
 
     transitions = 0
+    level = 0  # BFS depth of ``sid``
+    level_end = nstates  # first id one level deeper
     sid = 0
-    while sid < len(states):
+    while sid < nstates:
+        if sid == level_end:
+            level += 1
+            level_end = nstates
         state = states[sid]
         try:
             model.check_invariants(state)
@@ -169,51 +185,66 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
                 f"{model.name}: deadlock (non-quiescent state with no transitions)\n"
                 + _trace(states, parent, label, sid)
             )
-        next_ids = []
         for lbl, nxt in succs:
             if canonicalize is not None:
                 nxt = canonicalize(nxt)
-            nid = index.get(nxt)
-            if nid is None:
-                nid = index[nxt] = len(states)
+            nid = index.setdefault(nxt, nstates)
+            if nid == nstates:
+                nstates += 1
                 states.append(nxt)
                 parent.append(sid)
                 label.append(lbl)
-                depth.append(depth[sid] + 1)
                 if max_states is not None and nid >= max_states:
                     raise VerificationError(
                         f"{model.name}: state space exceeds {max_states} states"
                     )
-            next_ids.append(nid)
+            succ_append(nid)
         if check_liveness:
-            successors.append(tuple(next_ids))  # smaller than the list, kept to the end
+            succ_end.append(len(succ))
+        else:
+            del succ[:]  # only the liveness pass reads the edges
         sid += 1
 
     if check_liveness:
-        _check_liveness(model, states, successors, quiescent)
+        del index, parent, label  # only ``states`` is left to name a culprit
+        _check_liveness(model, states, succ, succ_end, quiescent)
 
     return CheckResult(
         model=model.name,
-        states=len(states),
+        states=nstates,
         transitions=transitions,
-        diameter=depth[-1] if depth else 0,  # BFS discovers in depth order
+        diameter=level,  # BFS discovers in depth order: the last state's level
         quiescent_states=sum(quiescent),
         elapsed_s=time.perf_counter() - start,
         liveness_checked=check_liveness,
     )
 
 
-def _check_liveness(model: Model, states, successors, quiescent) -> None:
+def _check_liveness(model: Model, states, succ, succ_end, quiescent) -> None:
     """Every reachable state must be able to reach a quiescent state."""
-    # Backward reachability from quiescent states over reversed edges.
-    preds: List[List[int]] = [[] for _ in states]
-    for src, next_ids in enumerate(successors):
-        for nid in next_ids:
-            preds[nid].append(src)
+    # Backward reachability from quiescent states over reversed edges,
+    # kept as a reverse CSR built by counting sort: the predecessors of
+    # ``v`` are ``preds[first[v]:first[v + 1]]``.  The per-edge counts and
+    # cursors live in a list, which reads items without boxing new ints.
+    first = [0] * len(states)
+    for nid in succ:
+        first[nid] += 1
+    first = list(accumulate(first))  # id -> end of its predecessors
+    preds = array("i", bytes(4 * len(succ)))
+    lo = 0
+    for src, hi in enumerate(succ_end):
+        for nid in succ[lo:hi]:
+            pos = first[nid] - 1
+            first[nid] = pos  # ends step back to starts
+            preds[pos] = src
+        lo = hi
+    first = array("i", first)
+    first.append(len(succ))
     can_quiesce = bytearray(quiescent)
     good = [sid for sid, quiet in enumerate(quiescent) if quiet]
     while good:
-        for pred in preds[good.pop()]:
+        nid = good.pop()
+        for pred in preds[first[nid]:first[nid + 1]]:
             if not can_quiesce[pred]:
                 can_quiesce[pred] = 1
                 good.append(pred)

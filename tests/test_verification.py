@@ -8,6 +8,7 @@ find violations, not just report success.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -540,6 +541,27 @@ def test_checker_restores_the_garbage_collector(make_model):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_checker_graph_store_peak_memory_on_token_dst():
+    """The explored graph lives in flat int32 arrays, not per-state tuples
+    and predecessor lists: the ``tracemalloc`` peak of the TokenCMP-dst
+    liveness check (model memos included) stays at or under 24 MB.  The
+    list-based store peaked at about 30 MB."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = check(TokenDstModel(coarse_sends=True, atomic_broadcasts=True),
+                       check_liveness=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    assert result.states == 49464
+    assert peak <= 24_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def _sample_states(model, limit=400):
