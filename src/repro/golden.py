@@ -3,15 +3,15 @@
 Every committed artifact is the output of a CLI command, and
 :data:`MANIFEST` pairs each baseline with its command.  :func:`check`
 runs every command twice, each time in a fresh ``python -m repro``
-process.  The two runs share one private, initially empty result cache
-(``REPRO_CACHE_DIR``), so the first run computes every cell and the
-second replays it from the cache.  The runs hash strings differently
-(``PYTHONHASHSEED`` 1 and 2), so an output that depends on set or dict
-hash order differs between them.  An entry fails when
+process with its own private, initially empty result cache
+(``REPRO_CACHE_DIR``), so both runs compute every cell.  The runs hash
+strings differently (``PYTHONHASHSEED`` 1 and 2), so an output that
+depends on set or dict hash order anywhere in the simulation differs
+between them.  (That a cache replay equals a live run is the result
+cache's own test.)  An entry fails when
 
 * the command exits nonzero,
-* its two outputs differ (the artifact is nondeterministic, or depends
-  on cache state), or
+* its two outputs differ (the artifact is nondeterministic), or
 * the output differs from the committed baseline.
 
 A failing JSON entry prints the :mod:`repro.obs.diff` rows that changed;
@@ -187,9 +187,9 @@ def check(entries: Tuple[Entry, ...] = MANIFEST, root: Path = ROOT,
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for n, entry in enumerate(entries):
             start = time.perf_counter()
-            cache = Path(tmp, f"cache{n}")
-            first = _run(entry, root, out_dir, cache, "1")
-            second = _run(entry, root, Path(tmp, f"run{n}"), cache, "2")
+            first = _run(entry, root, out_dir, Path(tmp, f"cache{n}-1"), "1")
+            second = _run(entry, root, Path(tmp, f"run{n}"),
+                          Path(tmp, f"cache{n}-2"), "2")
             ok, status, detail = _verdict(entry, root, first, second, update)
             failed += not ok
             say(f"{entry.baseline}: {status} "

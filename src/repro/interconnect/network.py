@@ -33,9 +33,14 @@ Hot-path design
 ``send`` sits under every coherence message, so its per-message work is
 precomputed at construction time:
 
-* a **route table** — ``src -> dst -> tuple[Link, ...]`` for every
-  endpoint pair in the machine, built once from the compiled topology
-  graph; a pair outside it is a :class:`ConfigError`, never a re-route;
+* **routes by routing site** — the compiled topology graph gives each
+  endpoint its *origin* (:meth:`TopologyGraph.origins`): the link onto
+  its routing site (the *head*, if any) and the site's row of shared
+  route tuples (the *tails*), one search and one row per site.  A
+  point-to-point pair is joined to ``(head,) + tail`` on its first
+  ``send`` and memoised in a ``src -> dst -> tuple[Link, ...]`` table,
+  so the table holds only the pairs the traffic uses; a pair outside
+  the graph is a :class:`ConfigError`, never a re-route;
 * a **size table** — ``MsgType -> bytes``, so sizing a message is one
   dict hit instead of a method call and branch;
 * **integer link serialization** — each :class:`Link` folds its
@@ -54,14 +59,15 @@ precomputed at construction time:
 * **one shared broadcast message** — untraced and unfaulted,
   ``send_fanout`` delivers its template itself, read-only, to every
   destination instead of one clone each;
-* **a closed-form first hop** — every route of a broadcast leaves on
-  the sender's one egress link, so ``send_fanout`` charges that link
-  once per fan-out: copy *k* (from 0) leaves it at ``max(now,
+* **a closed-form first hop** — every route of a broadcast from an
+  endpoint with a head leaves on that head, so ``send_fanout`` charges
+  it once per fan-out: copy *k* (from 0) leaves it at ``max(now,
   busy_until) + (k+1)·ser``, exactly what *k+1* back-to-back traversals
   give, and ``busy_until``/``bytes_carried`` are written once.  Only
-  the remaining hops are charged per destination (41,698 of 191,758 on
-  the 4x4 OLTP cell), buffered ones included.  When the routes do not
-  share a plain first link, every hop is charged per destination.
+  the tails are charged per destination (41,698 of 191,758 hops on
+  the 4x4 OLTP cell), buffered hops included.  Without a plain head
+  (a buffered one, or a sender that is its own site or reaches it
+  over a free edge), every hop is charged per destination.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heappush
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -190,15 +196,17 @@ class Network:
         self.graph: TopologyGraph = self.topology.build(params)
         self._links: Dict[str, Link] = {}
         self._build_links()
-        # src -> dst -> tuple of egress links, for every endpoint pair in
-        # the graph: the one route table, resolved by the graph itself
-        # (see ``TopologyGraph.routes``), so ``send`` never routes per
-        # message.  Nested so the hot ``send`` path needs no per-message
-        # (src, dst) key tuple.  Empty routes (src == dst) are valid
-        # entries, hence the ``is None`` probes.
-        self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = (
-            self.graph.routes(self._links)
+        # Each endpoint's origin, ``(head Link or None, its site's row of
+        # shared tails)``, resolved by the graph itself (see
+        # ``TopologyGraph.origins``), so nothing routes per message.
+        self._origins: Dict[NodeId, Tuple[Optional[Link], Dict[NodeId, Tuple[Link, ...]]]] = (
+            self.graph.origins(self._links)
         )
+        # src -> dst -> tuple of links, joined from the origins by
+        # ``route`` on a pair's first send.  Nested so the hot ``send``
+        # path needs no per-message (src, dst) key tuple.  Empty routes
+        # (src == dst) are valid entries, hence the ``is None`` probes.
+        self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = {}
         self._route_row = self._routes_from.get  # prebound
         # MsgType -> wire size in bytes (Section 8 sizes from params).
         # ``send`` itself branches on the two ints below (an attribute
@@ -307,10 +315,8 @@ class Network:
         src = msg.src
         by_dst = self._route_row(src)
         route = None if by_dst is None else by_dst.get(dst)
-        if route is None:  # an endpoint outside the topology graph
-            raise ConfigError(
-                f"topology {self.topology.generator!r} has no route {src} -> {dst}"
-            )
+        if route is None:  # the pair's first send
+            route = self.route(src, dst)
         sim = self.sim
         arrival = sim._now
         keys = self._meter_keys[mtype.klass]
@@ -423,12 +429,13 @@ class Network:
             hop = now
             ser = 0
         else:
-            # Every route leaves on ``first`` (the sender's egress link),
-            # so its n back-to-back copies are charged in closed form:
-            # copy k (from 0) starts serializing at begin + k*ser and
-            # reaches the next node at begin + (k+1)*ser + latency, exactly
-            # what n inlined traversals would compute.  ``first`` is on no
-            # route's tail, so charging it up front changes no tail hop.
+            # Every route leaves on ``first`` (the sender's head), so its
+            # n back-to-back copies are charged in closed form: copy k
+            # (from 0) starts serializing at begin + k*ser and reaches the
+            # next node at begin + (k+1)*ser + latency, exactly what n
+            # inlined traversals would compute.  The plan holds only the
+            # tails, and no tail contains its head, so charging it up
+            # front changes no tail hop.
             ser = first.ser_data if data else first.ser_ctrl
             begin = first.busy_until
             if now > begin:
@@ -440,8 +447,6 @@ class Network:
             hop += ser
             arrival = hop
             for link in route:
-                if link is first:  # charged above
-                    continue
                 if link.plain:
                     ser_l = link.ser_data if data else link.ser_ctrl
                     start = link.busy_until
@@ -466,45 +471,70 @@ class Network:
         for dst in dests:
             send(clone(template, dst))
 
+    def route(self, src: NodeId, dst: NodeId) -> Tuple[Link, ...]:
+        """The links a message from ``src`` to ``dst`` crosses, in order.
+
+        Joined from ``src``'s origin on the pair's first use, ``(head,) +
+        tail`` (see :meth:`TopologyGraph.origins`), and memoised for
+        ``send``; ``()`` when ``src == dst``.  A pair outside the topology
+        graph raises :class:`ConfigError`.
+        """
+        by_dst = self._route_row(src)
+        route = None if by_dst is None else by_dst.get(dst)
+        if route is not None:
+            return route
+        origin = self._origins.get(src)
+        if origin is None or (dst != src and dst not in origin[1]):
+            raise ConfigError(
+                f"topology {self.topology.generator!r} has no route {src} -> {dst}"
+            )
+        head, row = origin
+        if dst == src:
+            route = ()
+        elif head is None:
+            route = row[dst]
+        else:
+            route = (head,) + row[dst]
+        self._routes_from.setdefault(src, {})[dst] = route
+        return route
+
     def _build_fanout_plan(self, src: NodeId, dests: Tuple[NodeId, ...]):
         """Resolve a broadcast's per-destination (endpoint, route) pairs.
 
         Returns ``(dests, pairs, scope_links, first)`` — the dests tuple
         itself (kept so the identity-keyed cache holds its key alive), one
         ``(endpoint, route)`` pair per destination, the total link count
-        per scope for aggregate metering, and ``first``: the plain
-        :class:`Link` every route starts on and no route revisits, which
-        ``send_fanout`` charges in closed form, or None (then every hop
-        is walked per destination).  Later hops may be any link,
-        :class:`BufferedLink` included.  Routes are the route table's own
-        tuples, so a plan holds no per-hop records of its own.  The whole
-        result is ``None`` when any destination lacks a route or a
+        per scope for aggregate metering, and ``first``: the sender's
+        head when it is a plain :class:`Link`, which ``send_fanout``
+        charges in closed form, each pair then holding only the site's
+        shared tail; or None, each pair then holding its full route
+        (the sender has no head, its head is buffered, or it is among
+        its own destinations).  Tails may hold any link,
+        :class:`BufferedLink` included.  Routes are the origin's own
+        tuples wherever no head is joined on, so a plan holds no per-hop
+        records of its own and joins nothing into ``send``'s table.  The
+        whole result is ``None`` when any destination lacks a route or a
         registered endpoint (the caller falls back to per-destination
         ``send``, which raises :class:`ConfigError` naming the offending
         pair).  Every pass over the destinations runs in C (``map``,
-        ``zip``, ``Counter``); Python code loops only over distinct links.
+        ``zip``, ``Counter``) unless a head must be joined on.
         """
-        by_dst = self._route_row(src)
-        if by_dst is None:
+        origin = self._origins.get(src)
+        if origin is None:
             return None
+        head, row = origin
         endpoints = tuple(map(self._endpoint_of, dests))
-        routes = tuple(map(by_dst.get, dests))
+        routes = tuple(map(row.get, dests))
         if None in endpoints or None in routes:
             return None
-        # Uses per link, in first-use order, so the scopes below keep the
-        # order a per-hop walk would meet them in.
-        uses = Counter(chain.from_iterable(routes))
-        counts: Dict[Scope, int] = {}
-        for link, k in uses.items():
-            counts[link.scope] = counts.get(link.scope, 0) + k
-        first = None
-        if () not in routes:  # an empty route (src among dests) has no hop
-            heads = set(map(itemgetter(0), routes))
-            if len(heads) == 1:
-                (head,) = heads
-                # Used once per route, i.e. only as its head.
-                if head.plain and uses[head] == len(routes):
-                    first = head
+        first = head
+        if head is not None and (not head.plain or not dests or src in dests):
+            first = None
+            routes = tuple(() if dst == src else (head,) + tail
+                           for dst, tail in zip(dests, routes))
+        # Links per scope, in the order a per-hop walk first meets them.
+        counts = Counter() if first is None else Counter({first.scope: len(dests)})
+        counts.update(map(attrgetter("scope"), chain.from_iterable(routes)))
         return (dests, tuple(zip(endpoints, routes)), tuple(counts.items()), first)
 
     def _deliver_traced(self, msg: Message) -> None:

@@ -39,7 +39,7 @@ tuple ``(link count, total latency, link-name path, vertex)``, so ties
 are broken lexicographically, never by hash order.
 
 The search runs once per *routing site*, not once per endpoint
-(:meth:`TopologyGraph.routes`).  An endpoint ``v`` with a single
+(:meth:`TopologyGraph.origins`).  An endpoint ``v`` with a single
 out-edge ``v -> b`` (every L1 and L2 bank has one ``intra:`` egress to
 its chip's hub; MEM and ARB have one free edge to their memory site)
 routes from ``b``: its route to any other endpoint is that edge's link,
@@ -51,6 +51,12 @@ in the same order as from ``b``; no shortest path from ``b`` passes
 through ``v``, whose only way out leads back to ``b``.  An endpoint
 with several out-edges (the chip interface) is its own site, so a
 machine needs three searches per chip: hub, memory site, interface.
+
+Routes are stored by site as well (:meth:`TopologyGraph.origins`): each
+endpoint's *origin* is its head link (the edge's link, or ``None``) and
+its site's one row of routes, the *tails*, shared by every endpoint of
+the site.  A route is joined as ``(head,) + tail`` only where a pair is
+used; the network does that on the pair's first send.
 
 Buffering overrides are *diagnostic*: links model unbounded
 store-and-forward queues, and a ``buffer_bytes`` capacity marks where
@@ -371,53 +377,64 @@ class TopologyGraph:
         lexicographically smallest link-name path — a total order over
         candidate routes, so the result is independent of dict/set hash
         order and of ``PYTHONHASHSEED``.
+
+        The free-edge closure of a popped vertex is settled at once, at
+        the popped key, instead of being pushed: every vertex in it has
+        that same key, and no smaller key is left in the heap.
         """
         out: Dict[str, Tuple[str, ...]] = {}
         heap: List[Tuple[int, int, Tuple[str, ...], str]] = [(0, 0, (), src_vertex)]
         links = self.links
         adj = self.adj
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         while heap:
-            nlinks, latency, names, vertex = heapq.heappop(heap)
+            nlinks, latency, names, vertex = heappop(heap)
             if vertex in out:
                 continue
             out[vertex] = names
-            for nxt, link_name in adj.get(vertex, ()):
-                if nxt in out:
-                    continue
-                if link_name is None:
-                    heapq.heappush(heap, (nlinks, latency, names, nxt))
-                else:
-                    spec = links[link_name]
-                    heapq.heappush(heap, (nlinks + 1, latency + spec.latency_ps,
-                                          names + (link_name,), nxt))
+            closure = [vertex]
+            while closure:
+                for nxt, link_name in adj[closure.pop()]:
+                    if nxt in out:
+                        continue
+                    if link_name is None:
+                        out[nxt] = names
+                        closure.append(nxt)
+                    else:
+                        heappush(heap, (nlinks + 1,
+                                        latency + links[link_name].latency_ps,
+                                        names + (link_name,), nxt))
         return out
 
-    def routes(self, links: Optional[Dict[str, object]] = None
-               ) -> Dict[NodeId, Dict[NodeId, tuple]]:
-        """Routes for every ordered endpoint pair, nested ``src -> dst ->
-        route`` (the Network's route table).
+    def origins(self, links: Optional[Dict[str, object]] = None
+                ) -> Dict[NodeId, Tuple[Optional[object], Dict[NodeId, tuple]]]:
+        """Every endpoint's *origin*: ``(head, row)``.
 
-        A route is its tuple of link names, or of ``links[name]`` when a
-        ``links`` mapping is given (the Network passes its :class:`Link`
-        objects).  Endpoints reached over one path share its tuple.
-        Computed afresh on every call and not retained: the Network keeps
-        the one resident copy.
+        ``row`` is the endpoint's routing site's row: each destination
+        endpoint the site reaches, mapped to the site's route to it (the
+        *tail*).  ``head`` is the link of the endpoint's one out-edge onto
+        its site, or ``None`` when that edge is free or the endpoint is
+        its own site.  The route from ``src`` to ``dst != src`` is
+        ``(head,) + tail`` (just the tail without a head); from ``src``
+        to itself it is ``()``.  Links are named, or ``links[name]`` when
+        a ``links`` mapping is given (the Network passes its :class:`Link`
+        objects).
 
-        One shortest-path search runs per *routing site*, not per
-        endpoint: an endpoint with a single out-edge routes from that
-        edge's head, and its route to every other endpoint is the edge's
-        link (if any) followed by the site's route (exact; see the module
-        docstring).  Each site route is resolved once, and each (head
-        link, site route) join once per endpoint.
+        One shortest-path search runs per routing site, not per endpoint
+        (exact; see the module docstring), and the endpoints of a site
+        share its one row.  Within a row, destinations reached over one
+        path share its tail tuple, and no tail contains the head of an
+        endpoint on that site: crossing the head means passing through
+        the endpoint, whose only way out leads back to the site.  A
+        destination some endpoint cannot reach raises
+        :class:`ConfigError` naming the first such pair.
         """
         endpoints = self.endpoints
         adj = self.adj
-        dsts = tuple(endpoints)
-        # site vertex -> (distinct routes, each endpoint's index into
-        # them, whether the site misses an endpoint): the only search
-        # state kept during the build.
-        sites: Dict[str, Tuple[List[Optional[tuple]], List[int], bool]] = {}
-        table: Dict[NodeId, Dict[NodeId, tuple]] = {}
+        # site vertex -> (row, endpoints the site misses, in order)
+        sites: Dict[str, Tuple[Dict[NodeId, tuple], List[NodeId]]] = {}
+        out: Dict[NodeId, Tuple[Optional[object], Dict[NodeId, tuple]]] = {}
         for src, src_v in endpoints.items():
             edges = adj[src_v]
             if len(edges) == 1 and edges[0][0] != src_v:
@@ -426,45 +443,55 @@ class TopologyGraph:
                 site, head = src_v, None
             entry = sites.get(site)
             if entry is None:
-                entry = sites[site] = self._site_routes(site, links)
-            routes, index, misses = entry
-            if head is not None:
-                head_link = head if links is None else links[head]
-                routes = [None if route is None else (head_link,) + route
-                          for route in routes]
-            row = table[src] = dict(zip(dsts, map(routes.__getitem__, index)))
-            row[src] = ()
-            if misses:
-                for dst in dsts:
-                    if row[dst] is None:
-                        raise ConfigError(
-                            f"topology {self.generator!r} is not connected: "
-                            f"no route {src} -> {dst}"
-                        )
-        return table
+                entry = sites[site] = self._site_row(site, links)
+            row, missing = entry
+            for dst in missing:
+                if dst != src:
+                    raise ConfigError(
+                        f"topology {self.generator!r} is not connected: "
+                        f"no route {src} -> {dst}"
+                    )
+            out[src] = (head if head is None or links is None else links[head],
+                        row)
+        return out
 
-    def _site_routes(self, site: str, links: Optional[Dict[str, object]]
-                     ) -> Tuple[List[Optional[tuple]], List[int], bool]:
-        """One search from ``site``: its distinct routes (resolved through
-        ``links`` when given), each endpoint's index into them, and
-        whether any endpoint is unreachable (index 0, the ``None`` slot).
-        """
+    def _site_row(self, site: str, links: Optional[Dict[str, object]]
+                  ) -> Tuple[Dict[NodeId, tuple], List[NodeId]]:
+        """One search from ``site``: its row (each route resolved through
+        ``links`` when given, once per distinct path) and the endpoints it
+        does not reach."""
         paths = self._sssp(site)
-        routes: List[Optional[tuple]] = [None]
-        slots: Dict[int, int] = {}  # id(names) -> slot; ``paths`` pins the names
-        index: List[int] = []
-        for dst_v in self.endpoints.values():
+        tails: Dict[int, tuple] = {}  # id(names) -> tail; ``paths`` pins the names
+        row: Dict[NodeId, tuple] = {}
+        missing: List[NodeId] = []
+        for dst, dst_v in self.endpoints.items():
             names = paths.get(dst_v)
             if names is None:
-                index.append(0)
+                missing.append(dst)
                 continue
-            slot = slots.get(id(names))
-            if slot is None:
-                slot = slots[id(names)] = len(routes)
-                routes.append(names if links is None
-                              else tuple(links[n] for n in names))
-            index.append(slot)
-        return routes, index, 0 in index
+            tail = tails.get(id(names))
+            if tail is None:
+                tail = tails[id(names)] = (
+                    names if links is None
+                    else tuple(map(links.__getitem__, names)))
+            row[dst] = tail
+        return row, missing
+
+    def routes(self) -> Dict[NodeId, Dict[NodeId, Tuple[str, ...]]]:
+        """Link names for every ordered endpoint pair, nested ``src ->
+        dst -> names``: every origin joined in full.
+
+        The Network joins only the pairs its traffic uses (see
+        :meth:`origins`); this full table serves :meth:`validate` and the
+        route tests.
+        """
+        table: Dict[NodeId, Dict[NodeId, Tuple[str, ...]]] = {}
+        for src, (head, row) in self.origins().items():
+            joined = table[src] = (
+                dict(row) if head is None
+                else {dst: (head,) + tail for dst, tail in row.items()})
+            joined[src] = ()
+        return table
 
     # ------------------------------------------------------------------
     def validate(self) -> dict:

@@ -2,15 +2,17 @@
 
 ``Network.send_fanout`` takes its template: untraced, every destination
 receives that very object, so no receiver may mutate it.
-``_build_fanout_plan`` resolves a destination set with C-level passes;
-:func:`_oracle_plan` is the per-destination loop it replaced, and the
-reference it must equal on every set the token controllers build.  Each
+``_build_fanout_plan`` resolves a destination set from the sender's
+origin (its head link and its routing site's row) with C-level passes;
+:func:`_oracle_plan` is a per-destination loop over full routes, and
+the reference it must equal on every set the token controllers build.  Each
 link stores its serialization delay for the machine's two wire sizes;
 the checks below hold those values to ``Link.serialization_ps``.
 """
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId, NodeKind, ns
 from repro.core.base import holders_and_home
@@ -27,29 +29,44 @@ from repro.sim.kernel import Simulator
 from repro.system import MachineSpec
 
 
+def _egress(net, src):
+    """The link of ``src``'s one out-edge in the graph, if it has one."""
+    edges = net.graph.adj.get(str(src), ())
+    if len(edges) == 1 and edges[0][1] is not None:
+        return net.links_by_name()[edges[0][1]]
+    return None
+
+
 def _oracle_plan(net, src, dests):
-    """``(pairs, scope_links, first)`` by the per-destination loop."""
-    by_dst = net._route_row(src)
-    if by_dst is None:
-        return None
+    """``(pairs, scope_links, first)`` by the per-destination loop.
+
+    ``first`` is the sender's one egress link when it is plain and every
+    route starts on it and never meets it again; the pairs then hold the
+    routes after it.
+    """
     endpoint_of = net._endpoint_of
     pairs = []
     counts = {}
     for dst in dests:
-        route = by_dst.get(dst)
+        try:
+            route = net.route(src, dst)
+        except ConfigError:
+            return None
         endpoint = endpoint_of(dst)
-        if route is None or endpoint is None:
+        if endpoint is None:
             return None
         pairs.append((endpoint, route))
         for link in route:
             scope = link.scope
             counts[scope] = counts.get(scope, 0) + 1
-    first = pairs[0][1][0] if pairs and pairs[0][1] else None
-    if first is not None and not (first.plain and all(
+    first = _egress(net, src)
+    if first is not None and not (pairs and first.plain and all(
         route and route[0] is first and first not in route[1:]
         for _endpoint, route in pairs
     )):
         first = None
+    if first is not None:
+        pairs = [(endpoint, route[1:]) for endpoint, route in pairs]
     return tuple(pairs), tuple(counts.items()), first
 
 
@@ -170,14 +187,19 @@ def test_plans_equal_the_per_destination_loop(name):
         for addr in addrs:
             sets.append((mem.node, holders_and_home(net, params, addr)[:-1]))
     firsts = [_assert_plan_matches_oracle(net, src, dests) for src, dests in sets]
+    cache_firsts = [first for (src, _dests), first in zip(sets, firsts)
+                    if src.kind is not NodeKind.MEM]
+    mem_firsts = [first for (src, _dests), first in zip(sets, firsts)
+                  if src.kind is NodeKind.MEM]
+    # Memory reaches its routing site over a free edge: it has no head
+    # link, so its broadcasts charge every hop per destination.
+    assert mem_firsts and not any(mem_firsts)
     if name.endswith("buffered-intra"):
-        # Caches and memory leave on their own links; only the buffered
-        # intra-chip ones are refused a closed-form first hop.
-        cache_firsts = [first for (src, _dests), first in zip(sets, firsts)
-                        if src.kind is not NodeKind.MEM]
+        # Caches leave on their own intra-chip links, buffered here, so
+        # they are refused a closed-form first hop.
         assert cache_firsts and not any(cache_firsts)
     else:
-        assert all(first is not None for first in firsts)
+        assert all(first is not None for first in cache_firsts)
 
 
 def test_plan_is_none_without_a_route_or_an_endpoint():
@@ -196,18 +218,21 @@ def test_plan_is_none_without_a_route_or_an_endpoint():
     assert _assert_plan_matches_oracle(net, src, ()) is None
 
 
-def test_no_closed_form_first_hop_for_a_route_that_meets_it_again():
-    _sim, net, p = _small_net()
-    src = p.l1d_of(0)
-    dests = (p.l1d_of(1), p.l2_bank(0, 0))
-    for node in dests:
-        net.register(node, lambda msg: None)
-    row = net._route_row(src)
-    head = row[dests[1]][0]
-    assert _assert_plan_matches_oracle(net, src, dests) is head
-    # Rig one route to cross the sender's egress link a second time.
-    row[dests[1]] = row[dests[1]] + (head,)
-    assert _assert_plan_matches_oracle(net, src, dests) is None
+def test_no_tail_meets_its_head_again():
+    # ``send_fanout`` charges a sender's head in closed form and walks
+    # only the tails, with no per-hop skip: exact only because no tail
+    # crosses the head of an endpoint on its site.
+    for generator in sorted(GENERATORS):
+        params = SystemParams(num_chips=4, procs_per_chip=2,
+                              topology=Topology.named(generator))
+        origins = params.topology.build(params).origins()
+        heads = 0
+        for src, (head, row) in origins.items():
+            if head is not None:
+                heads += 1
+                assert not any(head in tail for tail in row.values()), src
+        # Every L1 and L2 bank: 4 chips x (2 x 2 L1s + the L2 banks).
+        assert heads == 4 * (2 * 2 + params.l2_banks_per_chip), generator
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.__main__ import COMMANDS, build_parser
 from repro.common import dumps
+from repro import golden
 from repro.golden import MANIFEST, ROOT, Entry, Run, _explain, _verdict, check
 from repro.obs.diff import diff_docs
 
@@ -63,6 +64,24 @@ def test_a_failing_command_fails_its_entry(tmp_path):
     assert lines[0].startswith("campaign.json: FAIL, command exited 2")
     assert any("campaign:" in line for line in lines[1:])
     assert not (tmp_path / "campaign.json").exists()
+
+
+def test_each_run_gets_its_own_empty_cache(tmp_path, monkeypatch):
+    # A shared cache would let run 2 replay run 1's cells instead of
+    # simulating them under its own hash seed.
+    calls = []
+
+    def fake_run(entry, root, run_dir, cache, hashseed):
+        calls.append((hashseed, cache, cache.exists()))
+        return Run(0, b"same\n", "")
+
+    monkeypatch.setattr(golden, "_run", fake_run)
+    entries = (Entry("a.txt", ("perf",)), Entry("b.txt", ("perf",)))
+    assert check(entries, root=tmp_path, update=True, say=lambda _: None) == 0
+    assert [seed for seed, _cache, _exists in calls] == ["1", "2", "1", "2"]
+    caches = [cache for _seed, cache, _exists in calls]
+    assert len(set(caches)) == len(caches)
+    assert not any(exists for _seed, _cache, exists in calls)
 
 
 def test_update_refuses_a_nondeterministic_artifact(tmp_path):

@@ -1,37 +1,43 @@
-"""Route tests: the graph-built route table vs the Table-3 branch ladder.
+"""Route tests: the graph-built routes vs the Table-3 branch ladder.
 
-``Network`` takes the compiled topology graph's routes over its links
-as ``_routes_from`` (``src -> dst -> tuple[Link, ...]``) for every
-endpoint pair at construction, so ``send`` never routes per message.
+``Network`` takes each endpoint's origin from the compiled topology
+graph at construction (``TopologyGraph.origins``: the link onto its
+routing site, and the site's row of routes), so ``send`` never routes
+per message; ``Network.route(src, dst)`` joins a pair on first use.
 The graph is the only routing mechanism in the program; the paper's
 Table-3 routing rules survive here as :func:`_path`, a branch ladder
-over link names that these tests replay exhaustively against the table
-on 1-, 2-, 4- and 8-chip ``ptp`` machines — including the IFACE/MEM/ARB
-corner cases the ladder special-cases.  They also pin that routing is
-independent of ``PYTHONHASHSEED`` for every generator and that a pair
-outside the table is a :class:`ConfigError`.
+over link names that these tests replay exhaustively against
+``Network.route`` on 1-, 2-, 4- and 8-chip ``ptp`` machines — including
+the IFACE/MEM/ARB corner cases the ladder special-cases.  They also pin
+that routing is independent of ``PYTHONHASHSEED`` for every generator
+and that a pair outside the graph is a :class:`ConfigError`.
 
-``TopologyGraph.routes()`` runs one shortest-path search per routing
+``TopologyGraph.origins()`` runs one shortest-path search per routing
 site, not per endpoint; the per-endpoint search survives here as
-:func:`_per_endpoint_routes`, the reference the table must equal on
-every generator, and the work and sharing of the build are pinned.
+:func:`_per_endpoint_routes`, the reference the joined table
+(``TopologyGraph.routes()``) must equal on every generator, and the
+work and sharing of the build are pinned.
 """
 
 import dataclasses
+import gc
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId, NodeKind
-from repro.exp.library import mesh_params
+from repro.exp.library import fig6_smoke_cell, mesh_params
+from repro.exp.runner import run_cell
+from repro.exp.spec import Cell
 from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
-from repro.interconnect.topology import Topology, TopologyGraph
+from repro.interconnect.topology import GENERATORS, Topology, TopologyGraph
 from repro.interconnect.traffic import TrafficMeter
 from repro.sim.kernel import Simulator
 
@@ -95,7 +101,7 @@ def _path(net, src, dst):
 
 
 def route_names(net, src, dst):
-    return [link.name for link in net._routes_from[src][dst]]
+    return [link.name for link in net.route(src, dst)]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -111,10 +117,18 @@ def test_route_cache_matches_path_ladder_for_every_pair(config):
 def test_route_cache_covers_exactly_the_node_pair_square(config):
     net, _params = build(**CONFIGS[config])
     nodes = set(net.graph.endpoints)
-    assert set(net._routes_from) == nodes
-    for row in net._routes_from.values():
-        assert set(row) == nodes
-    assert sum(map(len, net._routes_from.values())) == len(nodes) ** 2
+    origins = net.graph.origins()
+    assert set(origins) == nodes
+    for src, (_head, row) in origins.items():
+        assert set(row) | {src} == nodes
+    stray = NodeId(NodeKind.L1D, 0, 99)
+    assert stray not in nodes
+    for src in nodes:
+        for dst in nodes:
+            assert isinstance(net.route(src, dst), tuple), (src, dst)
+        for pair in ((src, stray), (stray, src)):
+            with pytest.raises(ConfigError):
+                net.route(*pair)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -132,7 +146,7 @@ def test_all_machine_endpoints_are_in_the_enumeration(config):
 def test_self_route_is_empty():
     net, params = build(**CONFIGS["4x4"])
     for node in net.graph.endpoints:
-        assert net._routes_from[node][node] == ()
+        assert net.route(node, node) == ()
 
 
 def test_arbiter_and_memory_colocated_route_is_empty():
@@ -142,8 +156,8 @@ def test_arbiter_and_memory_colocated_route_is_empty():
     for chip in range(params.num_chips):
         mem = NodeId(NodeKind.MEM, chip)
         arb = NodeId(NodeKind.ARB, chip)
-        assert net._routes_from[mem][arb] == ()
-        assert net._routes_from[arb][mem] == ()
+        assert net.route(mem, arb) == ()
+        assert net.route(arb, mem) == ()
 
 
 def test_cross_chip_arbiter_route_uses_mem_and_inter_links():
@@ -180,6 +194,108 @@ def test_send_uses_cached_route(monkeypatch):
     net.send(Message(MsgType.TOK_ACK, src, dst, 0))
     sim.run()
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_self_send_arrives_after_the_relay_and_charges_nothing(generator):
+    # A message to its own sender crosses no link: it arrives at once,
+    # and the receiver's lookup latency (its relay) is all it waits.
+    params = SystemParams(num_chips=4, procs_per_chip=2,
+                          topology=Topology.named(generator))
+    sim, meter = Simulator(), TrafficMeter()
+    net = Network(sim, params, meter)
+    relay = 700
+    arrived = []
+
+    def callee(msg):
+        arrived.append((sim.now, msg.src))
+
+    nodes = list(net.graph.endpoints)
+    for node in nodes:
+        net.register(node, lambda msg: sim.call_after(relay, callee, msg),
+                     relay, callee)
+    sim.call_after(1234, lambda _arg: [
+        net.send(Message(MsgType.TOK_ACK, node, node, 0)) for node in nodes
+    ], None)
+    sim.run()
+    assert arrived == [(1234 + relay, node) for node in nodes]
+    assert not any(link.busy_until or link.bytes_carried
+                   for link in net.links_by_name().values())
+    assert not any(meter.bytes.values()) and not any(meter.messages.values())
+
+
+def test_a_real_self_send_is_delivered(monkeypatch):
+    # DirectoryCMP's intra-chip L2 answers its own external request
+    # (``IntraDirL2Controller._finish_ext``) with a message to itself.
+    selfs = []
+    send = Network.send
+
+    def spy(self, msg):
+        if msg.src == msg.dst:
+            selfs.append((msg.mtype, str(msg.src)))
+        return send(self, msg)
+
+    monkeypatch.setattr(Network, "send", spy)
+    result = run_cell(Cell(protocol="DirectoryCMP-zero", workload="locking",
+                           seed=1, params=SystemParams(num_chips=2,
+                                                       procs_per_chip=2)))
+    assert selfs == [(MsgType.DIR_DATA, "l2[1.2]")]
+    assert result.runtime_ps > 0
+
+
+def _joined_pairs(net):
+    # The memo ``send`` fills (private: no public view of it exists).
+    return {(src, dst) for src, row in net._routes_from.items() for dst in row}
+
+
+@pytest.mark.parametrize("cell,pairs", [
+    (fig6_smoke_cell(), 436),
+    (Cell(protocol="TokenCMP-dst1", workload="oltp", seed=1,
+          workload_kwargs={"refs_per_proc": 30}, params=mesh_params(8, 2)),
+     297),
+], ids=["fig6-smoke", "mesh-8x2"])
+def test_send_joins_only_the_pairs_it_uses(monkeypatch, cell, pairs):
+    # Construction joins no pair; afterwards the table holds exactly the
+    # pairs ``send`` carried (of 3,600 and 7,744 on these machines).
+    built = []
+    used = set()
+    init, send = Network.__init__, Network.send
+
+    def spy_init(self, *args):
+        init(self, *args)
+        built.append(_joined_pairs(self))
+
+    def spy_send(self, msg):
+        used.add((msg.src, msg.dst))
+        return send(self, msg)
+
+    monkeypatch.setattr(Network, "__init__", spy_init)
+    monkeypatch.setattr(Network, "send", spy_send)
+    result = run_cell(cell)
+    assert built == [set()]
+    assert _joined_pairs(result.raw.machine.net) == used
+    assert len(used) == pairs
+
+
+@pytest.mark.parametrize("procs,bound_mb", [(2, 1.2), (8, 2.5)])
+def test_network_construction_retains_little_memory(procs, bound_mb):
+    # The origins (one row per routing site) are what a machine keeps;
+    # the full per-pair table held 2.35 MB (16x2) and 8.09 MB (16x8).
+    Network(Simulator(), SystemParams(num_chips=2, procs_per_chip=2),
+            TrafficMeter())  # imports and lazy caches outside the window
+    params = mesh_params(16, procs)
+    sim, meter = Simulator(), TrafficMeter()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net = Network(sim, params, meter)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(net.graph.endpoints) == 16 * (2 * procs + 7)
+    assert retained <= bound_mb * 10 ** 6, retained
 
 
 def test_unknown_pair_raises_config_error():
@@ -326,11 +442,13 @@ def test_network_routes_are_the_named_links(config):
     net = Network(Simulator(), ORACLE_CONFIGS[config](), TrafficMeter())
     links = net.links_by_name()
     names = net.graph.routes()
-    assert set(net._routes_from) == set(names)
-    for src, row in net._routes_from.items():
-        assert set(row) == set(names[src])
-        for dst, route in row.items():
-            assert route == tuple(links[n] for n in names[src][dst]), (src, dst)
+    nodes = set(net.graph.endpoints)
+    assert set(names) == nodes
+    for src, row in names.items():
+        assert set(row) == nodes
+        for dst, route_names_ in row.items():
+            route = net.route(src, dst)
+            assert route == tuple(links[n] for n in route_names_), (src, dst)
 
 
 def test_disconnected_graph_names_the_first_missing_pair():
@@ -382,14 +500,25 @@ def test_one_search_per_routing_site(monkeypatch, config, searches):
 
 
 @pytest.mark.parametrize("config,distinct", [
-    ("ptp-4x4", 501), ("mesh-16x2", 7505),
+    ("ptp-4x4", 112), ("mesh-16x2", 2272),
 ])
 def test_equal_routes_share_one_link_tuple(config, distinct):
-    net = Network(Simulator(), ORACLE_CONFIGS[config](), TrafficMeter())
-    routes = [route for row in net._routes_from.values()
-              for route in row.values()]
-    assert len({id(route) for route in routes}) == distinct
-    assert len(set(routes)) == distinct
+    # What stays resident is one row per routing site, shared by the
+    # site's endpoints; within a row, destinations reached over one path
+    # share one tail tuple.  The pin is the rows' distinct tails summed
+    # over sites.  (The full joined table held 501 and 7,505 distinct
+    # routes; the Network now joins only the pairs it sends on.)
+    params = ORACLE_CONFIGS[config]()
+    net = Network(Simulator(), params, TrafficMeter())
+    origins = net.graph.origins(net.links_by_name())
+    rows = {id(row): row for _head, row in origins.values()}
+    assert len(rows) == 3 * params.num_chips
+    shared = 0
+    for row in rows.values():
+        tails = row.values()
+        assert len({id(tail) for tail in tails}) == len(set(tails))
+        shared += len(set(tails))
+    assert shared == distinct
 
 
 def test_mesh_16x2_graph_shape_is_pinned():
