@@ -17,12 +17,12 @@ stale entry at once.  Records live under ``<root>/<k[:2]>/<key>.json``
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from typing import Optional
 
+from repro.common import sha256
 from repro.exp.result import CellResult
 from repro.exp.spec import Cell
 
@@ -44,7 +44,7 @@ def cell_key(cell: Cell) -> Optional[str]:
         return None
     material["schema"] = CACHE_SCHEMA
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 class ResultCache:

@@ -11,12 +11,13 @@ Each cell is an independent deterministic simulation (its own kernel, its
 own seeded RNG substreams), so parallel execution is bit-identical to
 serial: the runner only changes *when* cells run, never what they
 compute.  Results come back in spec order regardless of completion order.
+``multiprocessing`` is imported only where a pool starts, so a process
+that runs its cells serially never loads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exp.cache import ResultCache
@@ -233,6 +234,8 @@ class Runner:
         parallelizable = [p for p in pending if p[1].cacheable]
         serial = [p for p in pending if not p[1].cacheable]
         if self.jobs > 1 and len(parallelizable) > 1:
+            import multiprocessing
+
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn"

@@ -59,6 +59,10 @@ precomputed at construction time:
 * **one shared broadcast message** — untraced and unfaulted,
   ``send_fanout`` delivers its template itself, read-only, to every
   destination instead of one clone each;
+* **column fan-out plans** — a broadcast's plan, cached per sender and
+  destination set, stores its endpoints and routes as two tuples that
+  ``send_fanout`` walks with ``zip``, so a plan holds no tuple per
+  destination and its loop allocates none;
 * **a closed-form first hop** — every route of a broadcast from an
   endpoint with a head leaves on that head, so ``send_fanout`` charges
   it once per fan-out: copy *k* (from 0) leaves it at ``max(now,
@@ -235,7 +239,7 @@ class Network:
         self.pool = MessagePool()
         # Fan-out plans, keyed by destination-tuple identity: broadcasts
         # pass tuples interned through ``intern_dests``, so the
-        # (endpoint, route) pairs and the per-scope link counts of a
+        # endpoint and route columns and the per-scope link counts of a
         # fan-out are resolved once per (src, dest set) instead of per
         # message.  Each entry keeps a strong reference to its dests
         # tuple, so the id key cannot be reused while the entry lives;
@@ -377,8 +381,8 @@ class Network:
             dests = tuple(dests)  # a generator can be read only once
         # Every destination shares the template's src/mtype, so the route
         # row, wire size and metering keys are resolved once for the
-        # whole fan-out instead of per destination, and the (endpoint,
-        # route) pairs plus per-scope link counts come from a plan cached
+        # whole fan-out instead of per destination, and the endpoint and
+        # route columns plus per-scope link counts come from a plan cached
         # by destination-tuple identity (broadcast dest tuples are
         # interned per machine, see ``intern_dests``).  Link busy_until
         # values and event (time, seq) order are identical to a
@@ -401,8 +405,8 @@ class Network:
                 # (and pin its tuples) without bound.
                 row.clear()
             row[id(dests)] = entry
-        _dests, pairs, scope_links, first = entry
-        n = len(pairs)
+        _dests, endpoints, routes, scope_links, first = entry
+        n = len(endpoints)
         if not n:
             return
         mtype = template.mtype
@@ -443,7 +447,9 @@ class Network:
             first.busy_until = begin + n * ser
             first.bytes_carried += n * nbytes
             hop = begin + first.latency_ps
-        for endpoint, route in pairs:
+        # ``zip`` reuses its result tuple when the loop drops it, so walking
+        # the two columns allocates nothing per destination.
+        for endpoint, route in zip(endpoints, routes):
             hop += ser
             arrival = hop
             for link in route:
@@ -499,17 +505,19 @@ class Network:
         return route
 
     def _build_fanout_plan(self, src: NodeId, dests: Tuple[NodeId, ...]):
-        """Resolve a broadcast's per-destination (endpoint, route) pairs.
+        """Resolve a broadcast's per-destination endpoints and routes.
 
-        Returns ``(dests, pairs, scope_links, first)`` — the dests tuple
-        itself (kept so the identity-keyed cache holds its key alive), one
-        ``(endpoint, route)`` pair per destination, the total link count
-        per scope for aggregate metering, and ``first``: the sender's
-        head when it is a plain :class:`Link`, which ``send_fanout``
-        charges in closed form, each pair then holding only the site's
-        shared tail; or None, each pair then holding its full route
-        (the sender has no head, its head is buffered, or it is among
-        its own destinations).  Tails may hold any link,
+        Returns ``(dests, endpoints, routes, scope_links, first)`` — the
+        dests tuple itself (kept so the identity-keyed cache holds its key
+        alive), two columns in destination order (each destination's
+        endpoint record and its route), the total link count per scope for
+        aggregate metering, and ``first``: the sender's head when it is a
+        plain :class:`Link`, which ``send_fanout`` charges in closed form,
+        each route then being only the site's shared tail; or None, each
+        route then being the full one (the sender has no head, its head
+        is buffered, or it is among its own destinations).  The columns
+        are the tuples the resolving passes build; no per-destination
+        pair tuple is stored.  Tails may hold any link,
         :class:`BufferedLink` included.  Routes are the origin's own
         tuples wherever no head is joined on, so a plan holds no per-hop
         records of its own and joins nothing into ``send``'s table.  The
@@ -535,7 +543,7 @@ class Network:
         # Links per scope, in the order a per-hop walk first meets them.
         counts = Counter() if first is None else Counter({first.scope: len(dests)})
         counts.update(map(attrgetter("scope"), chain.from_iterable(routes)))
-        return (dests, tuple(zip(endpoints, routes)), tuple(counts.items()), first)
+        return (dests, endpoints, routes, tuple(counts.items()), first)
 
     def _deliver_traced(self, msg: Message) -> None:
         """Delivery shim used while tracing: emit ``msg.recv``, then act.

@@ -29,12 +29,11 @@ runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from typing import Dict, Optional
 
-from repro.common import dumps
+from repro.common import dumps, sha256
 
 SCHEMA = "repro.bench_work/1"
 
@@ -69,7 +68,7 @@ def bench_work() -> Dict[str, object]:
         "cell": _cell_label(cell),
         "events": sim.events_fired,
         "runtime_ps": res.runtime_ps,
-        "metrics_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "metrics_sha256": sha256(blob.encode()).hexdigest(),
         "profile": profiler.to_dict(),
     }
 

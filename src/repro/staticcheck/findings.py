@@ -14,10 +14,9 @@ up or down do not invalidate a baselined finding.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Dict, List
 
-from repro.common import dumps
+from repro.common import dumps, sha256
 
 SEVERITIES = ("error", "warning")
 
@@ -39,7 +38,7 @@ class Finding:
     def fingerprint(self) -> str:
         """Baseline key: stable across line-number shifts."""
         blob = f"{self.rule}|{self.path}|{self.message}"
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
     @property
     def location(self) -> str:

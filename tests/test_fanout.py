@@ -38,11 +38,11 @@ def _egress(net, src):
 
 
 def _oracle_plan(net, src, dests):
-    """``(pairs, scope_links, first)`` by the per-destination loop.
+    """``(endpoints, routes, scope_links, first)`` by the per-destination loop.
 
     ``first`` is the sender's one egress link when it is plain and every
-    route starts on it and never meets it again; the pairs then hold the
-    routes after it.
+    route starts on it and never meets it again; the routes column then
+    holds the routes after it.
     """
     endpoint_of = net._endpoint_of
     pairs = []
@@ -67,7 +67,9 @@ def _oracle_plan(net, src, dests):
         first = None
     if first is not None:
         pairs = [(endpoint, route[1:]) for endpoint, route in pairs]
-    return tuple(pairs), tuple(counts.items()), first
+    endpoints = tuple(endpoint for endpoint, _route in pairs)
+    routes = tuple(route for _endpoint, route in pairs)
+    return endpoints, routes, tuple(counts.items()), first
 
 
 def _assert_plan_matches_oracle(net, src, dests):
@@ -76,11 +78,12 @@ def _assert_plan_matches_oracle(net, src, dests):
     if want is None:
         assert plan is None
         return None
-    got_dests, pairs, scope_links, first = plan
+    got_dests, endpoints, routes, scope_links, first = plan
     assert got_dests is dests
-    assert pairs == want[0]
-    assert scope_links == want[1]
-    assert first is want[2]
+    assert endpoints == want[0]
+    assert routes == want[1]
+    assert scope_links == want[2]
+    assert first is want[3]
     return first
 
 

@@ -167,9 +167,10 @@ def _plan_paths(machine):
     plans = [entry for row in machine.net._fanout_plans.values()
              for entry in row.values()]
     buffered_tail = sum(
-        1 for _dests, pairs, _scopes, first in plans if first is not None
-        and any(not link.plain for _endpoint, route in pairs for link in route))
-    per_hop = sum(1 for entry in plans if entry[3] is None)
+        1 for _dests, _endpoints, routes, _scopes, first in plans
+        if first is not None
+        and any(not link.plain for route in routes for link in route))
+    per_hop = sum(1 for entry in plans if entry[4] is None)
     return buffered_tail, per_hop
 
 
