@@ -104,9 +104,11 @@ class CommercialWorkload(Workload):
     genuinely runtime-dependent parts stay in the generator: the
     test-and-test-and-set spin (which consumes no rng — its trip count
     depends on other processors) and the migratory read-modify-write
-    values.  The rng draw order of :meth:`_compile` replicates the old
-    per-reference generator exactly, so streams are bit-identical to the
-    pre-vectorized implementation.
+    values.  :meth:`_compile` replicates the old per-reference
+    generator's rng calls exactly, with each ``randrange`` inlined as
+    CPython's draw rule, so streams are bit-identical to the
+    pre-vectorized implementation (``tests/test_workloads.py`` pins a
+    sha256 of the compiled programs).
     """
 
     # Program record: (body opcode, fetch addr or -1, a, b).
@@ -159,46 +161,76 @@ class CommercialWorkload(Workload):
         Draws from the rng in exactly the per-reference order of the old
         generator (the spin loop consumed no rng, and the lock path's
         record pick came after an rng-free acquire), so the compiled
-        stream is draw-for-draw identical.
+        stream is draw-for-draw identical.  Each ``rng.randrange(n)`` is
+        inlined as CPython's own rule (``Random._randbelow`` with
+        ``getrandbits``, the same on 3.8-3.13): draw ``n.bit_length()``
+        bits and redraw while the result is ``>= n``.  That makes the
+        same ``getrandbits`` calls, so every pick and the rng's final
+        state are unchanged, without two Python frames per pick.  The
+        records go into one list, turned into the array once.
         """
         prof = self.profile
         rng = substream(self.seed, "commercial", prof.name, proc)
+        random = rng.random
+        getrandbits = rng.getrandbits
+        p_fetch = prof.p_fetch
+        p_store = prof.store_fraction_private
         p_lock = prof.p_lock
         p_mig = p_lock + prof.p_migratory
         p_ro = p_mig + prof.p_read_shared
         p_str = p_ro + prof.p_stream
-        prog = array("q")
-        extend = prog.extend
+        code, locks, migratory = self.code, self.locks, self.migratory
+        read_shared, private = self.read_shared, self.private[proc]
+        # Each pick's range n and its draw width k = n.bit_length().
+        n_code, n_lock, n_mig = len(code), len(locks), len(migratory)
+        n_ro, n_priv = len(read_shared), len(private)
+        k_code, k_lock, k_mig, k_ro, k_priv = (
+            n.bit_length() for n in (n_code, n_lock, n_mig, n_ro, n_priv)
+        )
+        stream_block = self._stream_block
+        LOCK, MIG, RO, STREAM, PRIV_STORE, PRIV_LOAD = (
+            self._LOCK, self._MIG, self._RO,
+            self._STREAM, self._PRIV_STORE, self._PRIV_LOAD,
+        )
+        out: List[int] = []
         for _ in range(prof.refs_per_proc):
             fetch_addr = -1
-            if rng.random() < prof.p_fetch:
+            if random() < p_fetch:
                 # Hot-skewed instruction fetch: most go to a few blocks.
-                if rng.random() < 0.7:
-                    fetch_addr = self.code[rng.randrange(4)]
+                if random() < 0.7:
+                    while (i := getrandbits(3)) >= 4:  # randrange(4)
+                        pass
                 else:
-                    fetch_addr = self.code[rng.randrange(len(self.code))]
-            r = rng.random()
+                    while (i := getrandbits(k_code)) >= n_code:
+                        pass
+                fetch_addr = code[i]
+            r = random()
             if r < p_lock:
-                lock = self.locks[rng.randrange(len(self.locks))]
-                record = self.migratory[rng.randrange(len(self.migratory))]
-                body, a, b = self._LOCK, lock, record
+                while (i := getrandbits(k_lock)) >= n_lock:
+                    pass
+                while (j := getrandbits(k_mig)) >= n_mig:
+                    pass
+                out += (LOCK, fetch_addr, locks[i], migratory[j])
             elif r < p_mig:
-                record = self.migratory[rng.randrange(len(self.migratory))]
-                body, a, b = self._MIG, record, 0
+                while (i := getrandbits(k_mig)) >= n_mig:
+                    pass
+                out += (MIG, fetch_addr, migratory[i], 0)
             elif r < p_ro:
-                body, a, b = (
-                    self._RO, self.read_shared[rng.randrange(len(self.read_shared))], 0
-                )
+                while (i := getrandbits(k_ro)) >= n_ro:
+                    pass
+                out += (RO, fetch_addr, read_shared[i], 0)
             elif r < p_str:
-                body, a, b = self._STREAM, self._stream_block(proc), 0
+                out += (STREAM, fetch_addr, stream_block(proc), 0)
             else:
-                block = self.private[proc][rng.randrange(len(self.private[proc]))]
-                if rng.random() < prof.store_fraction_private:
-                    body, a, b = self._PRIV_STORE, block, rng.randrange(1 << 16)
+                while (i := getrandbits(k_priv)) >= n_priv:
+                    pass
+                if random() < p_store:
+                    while (j := getrandbits(17)) >= 65536:  # randrange(1 << 16)
+                        pass
+                    out += (PRIV_STORE, fetch_addr, private[i], j)
                 else:
-                    body, a, b = self._PRIV_LOAD, block, 0
-            extend((body, fetch_addr, a, b))
-        return prog
+                    out += (PRIV_LOAD, fetch_addr, private[i], 0)
+        return array("q", out)
 
     # Interned-op helpers: one immutable op object per distinct address.
     def _load(self, addr: int) -> Load:

@@ -114,6 +114,72 @@ def test_commercial_stream_blocks_conflict_in_l2(params):
     assert len(lanes) == 2  # two lanes, each repeatedly conflicting
 
 
+# sha256 over every compiled commercial program, read on the per-reference
+# ``rng.randrange`` implementation: the inlined draw rule must not move a byte.
+COMMERCIAL_STREAMS_SHA256 = (
+    "b85bfc87260991c1a9737cc45e8bb981002b30ba402f13dc8b6d22742418a61d"
+)
+
+
+def test_commercial_compiled_streams_are_pinned():
+    import hashlib
+
+    from repro.exp.library import mesh_params
+    from repro.workloads import make_workload
+
+    digest = hashlib.sha256()
+    for machine in (SystemParams(), mesh_params(16, 2), mesh_params(8, 2)):
+        for name in ("oltp", "apache", "specjbb"):
+            for seed in range(1, 9):
+                for refs in (40, 250):
+                    wl = make_workload(name, machine, seed=seed, refs_per_proc=refs)
+                    for prog in wl._programs:
+                        digest.update(prog.tobytes())
+    assert digest.hexdigest() == COMMERCIAL_STREAMS_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_inlined_randrange_rule_matches_cpython(seed):
+    """The pick ``CommercialWorkload._compile`` inlines is ``randrange(n)``."""
+    import random
+
+    for n in (1, 2, 3, 4, 5, 12, 16, 24, 64, 96, 256, 384, 65536):
+        oracle = random.Random(seed)
+        inlined = random.Random(seed)
+        getrandbits = inlined.getrandbits
+        k = n.bit_length()
+        for _ in range(200):
+            while (i := getrandbits(k)) >= n:
+                pass
+            assert i == oracle.randrange(n)
+        assert inlined.getstate() == oracle.getstate()
+
+
+def test_commercial_compile_draw_budget(monkeypatch):
+    """Set-up work as call counts: no ``randrange`` frame, the same draws."""
+    import random
+
+    from repro.workloads import make_workload
+
+    counts = dict.fromkeys(("randrange", "random", "getrandbits"), 0)
+
+    def counting(name):
+        method = getattr(random.Random, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(random.Random, name, counting(name))
+    make_workload("oltp", SystemParams(), seed=1, refs_per_proc=250)
+    # The per-reference generator's draws: 10,063 random() and 7,961
+    # getrandbits() calls, the latter all inside its 4,702 randrange().
+    assert counts == {"randrange": 0, "random": 10_063, "getrandbits": 7_961}
+
+
 def test_commercial_workloads_distinct_address_spaces(params):
     wl = make_commercial(params, "apache", refs_per_proc=10)
     shared = set(wl.locks) | set(wl.migratory) | set(wl.read_shared)
