@@ -375,11 +375,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.staticcheck import (
-        PASSES, diff_baseline, explain_rule, load_baseline, render_json,
-        render_text, run_passes, write_baseline,
+        PASSES, explain_rule, render_json, render_text, run_passes,
     )
 
     if args.explain is not None:
@@ -411,21 +408,11 @@ def cmd_lint(args) -> int:
         _write(args.model_out, dumps(build_model(files), indent=2))
         print(f"wrote {args.model_out} (schema repro.protomodel/1)",
               file=sys.stderr)
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {baseline_path} ({len(findings)} finding(s) baselined)")
-        return 0
-    baseline = load_baseline(baseline_path)
-    new, stale = diff_baseline(findings, baseline)
     if args.json:
-        print(render_json(new, pass_ids), end="")
+        print(render_json(findings, pass_ids), end="")
     else:
-        print(render_text(new))
-        if stale:
-            print(f"note: {len(stale)} stale baseline fingerprint(s) — "
-                  f"rerun with --update-baseline to shrink the file")
-    return 1 if new else 0
+        print(render_text(findings))
+    return 1 if findings else 0
 
 
 def cmd_faults(args) -> int:
@@ -593,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lt.add_argument("--json", action="store_true",
                     help="emit the canonical repro.staticcheck/1 JSON report")
-    lt.add_argument("--baseline", default="staticcheck-baseline.json",
-                    help="baseline file of grandfathered finding fingerprints")
-    lt.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from the current findings")
     lt.add_argument("--pass", dest="pass_name", default=None, metavar="NAME",
                     help="run a single pass by id (exit 2 if unknown)")
     lt.add_argument("--explain", default=None, metavar="RULE",

@@ -6,7 +6,7 @@ records) is written by :func:`dumps`, so byte identity means the same
 thing everywhere.
 
 :func:`sha256` is the one SHA-256 constructor of ``src/``: RNG stream
-seeds, cache keys, metrics digests and lint fingerprints all take it.
+seeds, cache keys and metrics digests all take it.
 """
 
 import json

@@ -41,8 +41,9 @@ precomputed at construction time:
   ``send`` and memoised in a ``src -> dst -> tuple[Link, ...]`` table,
   so the table holds only the pairs the traffic uses; a pair outside
   the graph is a :class:`ConfigError`, never a re-route;
-* a **size table** — ``MsgType -> bytes``, so sizing a message is one
-  dict hit instead of a method call and branch;
+* **two wire sizes** — a message is ``data_msg_bytes`` if its type
+  carries data, else ``control_msg_bytes``, read from two ints stored
+  at construction;
 * **integer link serialization** — each :class:`Link` folds its
   bandwidth into an exact integer numerator/denominator pair at
   construction, so ``traverse`` is pure integer arithmetic (no float
@@ -85,7 +86,7 @@ from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId
-from repro.interconnect.message import Message, MessagePool, MsgType, _msg_ids
+from repro.interconnect.message import Message, MessagePool, _msg_ids
 from repro.interconnect.topology import LinkSpec, TopologyGraph
 from repro.interconnect.traffic import Scope, TrafficClass, TrafficMeter
 from repro.sim.kernel import Simulator
@@ -212,19 +213,14 @@ class Network:
         # (src == dst) are valid entries, hence the ``is None`` probes.
         self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = {}
         self._route_row = self._routes_from.get  # prebound
-        # MsgType -> wire size in bytes (Section 8 sizes from params).
-        # ``send`` itself branches on the two ints below (an attribute
-        # load beats hashing an enum member), but the full table stays
-        # the introspectable statement of the sizing rule.
+        # Wire size in bytes (Section 8 sizes from params): a message
+        # carrying data costs ``data_msg_bytes``, any other
+        # ``control_msg_bytes``.
         self._data_bytes: int = params.data_msg_bytes
         self._ctrl_bytes: int = params.control_msg_bytes
         for link in self._links.values():
             link.ser_ctrl = link.serialization_ps(self._ctrl_bytes)
             link.ser_data = link.serialization_ps(self._data_bytes)
-        self._msg_size: Dict[MsgType, int] = {
-            mtype: (self._data_bytes if mtype.has_data else self._ctrl_bytes)
-            for mtype in MsgType
-        }
         # Interned (scope, class) metering keys plus direct views of the
         # meter's counter dicts: the per-link charge in ``send`` becomes
         # two dict bumps with no tuple construction per message.

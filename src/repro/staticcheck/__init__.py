@@ -5,8 +5,6 @@ correctness substrate is easy to *check*.  The model checker verifies
 down-scaled models; this package guards the full-size controllers against
 the bug classes the reproduction cares most about:
 
-* **dispatch** — every controller's ``MsgType`` ladder handles every
-  message type routing can actually deliver to it (no silent drops);
 * **determinism** — no unordered ``set`` iteration, wall-clock reads, or
   unseeded randomness feeding simulation behaviour (PR 2-4 made
   byte-identical output load-bearing: content-addressed caching, trace
@@ -19,7 +17,8 @@ the bug classes the reproduction cares most about:
 * **protocol-model** — the controllers' guarded-transition graph and the
   checker models' ``transitions()`` graph are extracted from the AST and
   cross-checked (missing transitions, token-delta sign flips, unguarded
-  stale-epoch carriers), with a canonical ``repro.protomodel/1``
+  stale-epoch carriers, entry ladders without a default arm, typo'd
+  ``MsgType`` members), with a canonical ``repro.protomodel/1``
   artifact;
 * **suppressions** — every ``# staticcheck: ignore[...]`` comment still
   suppresses at least one finding (the inventory cannot rot).
@@ -29,7 +28,6 @@ Entry points: :func:`repro.staticcheck.runner.run_passes` and the
 """
 
 from repro.staticcheck.base import PASSES, Pass, explain_rule
-from repro.staticcheck.baseline import diff_baseline, load_baseline, write_baseline
 from repro.staticcheck.findings import Finding, render_json, render_text
 from repro.staticcheck.protomodel import build_model
 from repro.staticcheck.runner import run_passes
@@ -41,12 +39,9 @@ __all__ = [
     "PASSES",
     "SourceFile",
     "build_model",
-    "diff_baseline",
     "explain_rule",
-    "load_baseline",
     "load_tree",
     "render_json",
     "render_text",
     "run_passes",
-    "write_baseline",
 ]

@@ -1,9 +1,10 @@
 """Pass interface, shared AST helpers, and the pass registry.
 
 A pass consumes the full list of :class:`SourceFile` objects (so it can
-correlate across files — the dispatch pass cross-references send sites in
-one module against ladders in another) and returns findings.  Suppressed
-findings are filtered centrally in :meth:`Pass.run`.
+correlate across files — the protocol-model pass cross-references
+controller ladders in one package against checker models in another)
+and returns findings.  Suppressed findings are filtered centrally in
+:meth:`Pass.run`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,21 @@ class Pass:
         )
 
 
+#: The simulation packages: behaviour here is simulation-visible, so they
+#: must stay deterministic and free of ambient process state.
+SIM_SCOPE = (
+    "repro.sim",
+    "repro.core",
+    "repro.directory",
+    "repro.interconnect",
+    "repro.snooping",
+    "repro.perfect",
+    "repro.memory",
+    "repro.cpu",
+    "repro.system",
+)
+
+
 def module_in(src: SourceFile, packages: Sequence[str]) -> bool:
     """True when ``src`` belongs to one of the dotted ``packages``."""
     return any(
@@ -94,31 +110,15 @@ def call_name(node: ast.Call) -> Optional[str]:
     return None
 
 
-def enum_members(files: List[SourceFile], class_name: str) -> Set[str]:
-    """Member names of an enum class defined anywhere in ``files``."""
-    members: Set[str] = set()
-    for src in files:
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ClassDef) and node.name == class_name:
-                for stmt in node.body:
-                    if isinstance(stmt, ast.Assign):
-                        for tgt in stmt.targets:
-                            if isinstance(tgt, ast.Name) and not tgt.id.startswith("_"):
-                                members.add(tgt.id)
-    return members
-
-
 def make_registry():
     """Instantiate the standard pass list (import here to avoid cycles)."""
     from repro.staticcheck.determinism import DeterminismPass
-    from repro.staticcheck.dispatch import DispatchPass
     from repro.staticcheck.protomodel import ProtocolModelPass
     from repro.staticcheck.purity import PurityPass
     from repro.staticcheck.suppressions import UnusedSuppressionPass
     from repro.staticcheck.tokens import TokenDisciplinePass
 
     return [
-        DispatchPass(),
         ProtocolModelPass(),
         DeterminismPass(),
         TokenDisciplinePass(),

@@ -28,22 +28,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set
 
-from repro.staticcheck.base import Pass, attr_chain, call_name, module_in
+from repro.staticcheck.base import (
+    SIM_SCOPE, Pass, attr_chain, call_name, module_in,
+)
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.source import SourceFile
-
-#: Packages whose behaviour is simulation-visible.
-SIM_SCOPE = (
-    "repro.sim",
-    "repro.core",
-    "repro.directory",
-    "repro.interconnect",
-    "repro.snooping",
-    "repro.perfect",
-    "repro.memory",
-    "repro.cpu",
-    "repro.system",
-)
 
 #: set-iteration also corrupts the model checker's transition order.
 SET_ITER_SCOPE = SIM_SCOPE + ("repro.verification",)

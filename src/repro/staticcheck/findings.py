@@ -5,10 +5,6 @@ order and serialize deterministically (sorted by path, line, rule) so the
 JSON report — schema ``repro.staticcheck/1`` — can be compared byte-wise
 across runs, the same discipline every other artifact in this repo
 follows.
-
-The *fingerprint* is the baseline key: rule + path + message, with the
-line number deliberately excluded so unrelated edits that shift code
-up or down do not invalidate a baselined finding.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.common import dumps, sha256
+from repro.common import dumps
 
 SEVERITIES = ("error", "warning")
 
@@ -29,16 +25,10 @@ class Finding:
 
     path: str  # repo-relative, posix separators
     line: int
-    rule: str  # e.g. "dispatch-unhandled"
+    rule: str  # e.g. "det-wallclock"
     severity: str  # "error" | "warning"
     message: str
     snippet: str = ""  # the offending source line, stripped
-
-    @property
-    def fingerprint(self) -> str:
-        """Baseline key: stable across line-number shifts."""
-        blob = f"{self.rule}|{self.path}|{self.message}"
-        return sha256(blob.encode()).hexdigest()[:16]
 
     @property
     def location(self) -> str:
@@ -52,7 +42,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 

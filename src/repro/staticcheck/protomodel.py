@@ -5,13 +5,12 @@ Every protocol here exists twice: executable controllers
 (``repro.verification``).  This pass extracts a guarded-transition
 summary from *both* sides of that divide and cross-checks them:
 
-* **controller side** — per controller role (the dispatch pass's
-  ``ROLE_BY_CLASS`` table), every ``if/elif MsgType.X`` arm of the entry
-  ladder becomes one guarded transition: the guard predicate, the
-  handler it delegates to, the messages it can send (the PR 5 send-site
-  resolver), its token-delta effect (absorb/take/``± tokens``
-  arithmetic), the state fields it writes, and whether a stale-epoch
-  guard protects it;
+* **controller side** — per controller role (``ROLE_BY_CLASS``), every
+  ``if/elif MsgType.X`` arm of the entry ladder (``_process``/
+  ``_receive``) becomes one guarded transition: the guard predicate, the
+  handler it delegates to, its token-delta effect (absorb/take/``±
+  tokens`` arithmetic), the state fields it writes, and whether a
+  stale-epoch guard protects it;
 * **model side** — the ``transitions()`` methods of the checker models
   append ``(label, state)`` pairs; labels are normalized into *families*
   (``f"send{i}->{dst}"`` -> ``send*->*``) and classified with the same
@@ -33,6 +32,13 @@ a finding:
 * ``recreation-epoch-unguarded`` (error) — a token controller handles a
   stale-epoch carrier without comparing message epoch to block epoch.
 
+The pass also owns two ladder-hygiene rules:
+
+* ``dispatch-no-default`` (warning) — a role's entry ladder has no
+  default arm, so an unexpected type falls through silently;
+* ``dispatch-unknown-mtype`` (error) — a ``MsgType.X`` reference names
+  no member: a typo'd arm can never match.
+
 The merged extraction is also serialized as a canonical, byte-
 deterministic ``repro.protomodel/1`` JSON artifact
 (``python -m repro lint --pass protocol-model --model-out PATH``) whose
@@ -46,23 +52,28 @@ import ast
 import copy
 import dataclasses
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.staticcheck.base import Pass, attr_chain, call_name
-from repro.staticcheck.dispatch import (
-    FAMILY_BY_PREFIX,
-    ROLE_BY_CLASS,
-    MtypeConstants,
-    _FnEnv,
-    _module_mtype_constants,
-    _mtype_subjects,
-    _send_site_of,
-    _test_mtypes,
-)
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.source import SourceFile
 
 PROTOMODEL_SCHEMA = "repro.protomodel/1"
+
+#: MsgType name prefix -> protocol family.
+FAMILY_BY_PREFIX = {"TOK": "token", "PERSIST": "token", "DIR": "directory"}
+
+#: Concrete controller class -> (family, role).  Fixture copies used in
+#: tests resolve through the same table by class name.
+ROLE_BY_CLASS: Dict[str, Tuple[str, str]] = {
+    "TokenL1Controller": ("token", "l1"),
+    "TokenL2Controller": ("token", "l2"),
+    "TokenMemController": ("token", "mem"),
+    "Arbiter": ("token", "arb"),
+    "DirL1Controller": ("directory", "l1"),
+    "IntraDirL2Controller": ("directory", "l2"),
+    "InterDirController": ("directory", "mem"),
+}
 
 #: Checker-model class -> display name (the model's own ``name`` field).
 MODEL_CLASSES: Dict[str, str] = {
@@ -142,6 +153,105 @@ _MINUS_CALLS = frozenset({"take", "_take", "_send_tokens", "_respond"})
 _SIMPLE_STMTS = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr)
 _EPOCH_RE = re.compile(r"\bep\b|epoch")
 _CALL_DEPTH = 3
+
+
+# ---------------------------------------------------------------------------
+# Ladder readers: which MsgType members an ``if``-arm's test matches.
+# ---------------------------------------------------------------------------
+#: A module-level MsgType alias: one member name (``NAME = MsgType.X``)
+#: or a set of them (``NAME = (MsgType.A, MsgType.B, ...)``).
+MtypeConstants = Dict[str, Union[str, Set[str]]]
+
+
+def _member_of(expr: ast.AST, constants: MtypeConstants) -> Optional[str]:
+    """The MsgType member ``expr`` denotes: ``MsgType.X`` or a scalar alias."""
+    if isinstance(expr, ast.Name):
+        value = constants.get(expr.id)
+        return value if isinstance(value, str) else None
+    chain = attr_chain(expr)
+    if chain and chain.startswith("MsgType."):
+        return chain.split(".", 1)[1]
+    return None
+
+
+def _module_mtype_constants(src: SourceFile) -> MtypeConstants:
+    """Module-level MsgType aliases, in definition order.
+
+    ``NAME = MsgType.X`` (or another scalar alias) maps to ``"X"``;
+    ``NAME = (MsgType.A, ALIAS, ...)`` maps to the set of member names.
+    A ladder arm may test against either, like the members themselves.
+    """
+    out: MtypeConstants = {}
+    for stmt in src.tree.body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            tgt = stmt.targets[0]
+            if not isinstance(tgt, ast.Name):
+                continue
+            if isinstance(stmt.value, (ast.Tuple, ast.List, ast.Set)):
+                members = {_member_of(elt, out) for elt in stmt.value.elts}
+                value = members if members and None not in members else None
+            else:
+                value = _member_of(stmt.value, out)
+            if value is None:
+                out.pop(tgt.id, None)  # rebound to something else
+            else:
+                out[tgt.id] = value
+    return out
+
+
+def _mtype_subjects(fn: ast.AST) -> Set[str]:
+    """Unparsed expressions that denote the dispatched-on message type."""
+    subjects = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and node.attr == "mtype":
+            chain = attr_chain(node)
+            if chain:
+                subjects.add(chain)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            tgt = node.targets[0]
+            if (
+                isinstance(tgt, ast.Name)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "mtype"
+            ):
+                subjects.add(tgt.id)
+    return subjects
+
+
+def _test_mtypes(
+    test: ast.AST, subjects: Set[str], constants: MtypeConstants
+) -> Set[str]:
+    """MsgType members a ladder arm's test matches (empty: not an arm)."""
+    out: Set[str] = set()
+    if isinstance(test, ast.BoolOp):
+        for value in test.values:
+            out |= _test_mtypes(value, subjects, constants)
+        return out
+    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
+        return out
+    if isinstance(test.left, ast.Name):
+        left_name = test.left.id
+    else:
+        left_name = attr_chain(test.left)
+    if left_name not in subjects:
+        return out
+    op = test.ops[0]
+    comp = test.comparators[0]
+    if isinstance(op, (ast.Is, ast.Eq)):
+        member = _member_of(comp, constants)
+        if member is not None:
+            out.add(member)
+    elif isinstance(op, ast.In):
+        if isinstance(comp, (ast.Tuple, ast.List, ast.Set)):
+            for elt in comp.elts:
+                member = _member_of(elt, constants)
+                if member is not None:
+                    out.add(member)
+        elif isinstance(comp, ast.Name):
+            value = constants.get(comp.id)
+            if isinstance(value, set):
+                out |= value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +391,6 @@ class Arm:
     handler_line: int  # def line of the resolved handler (or the arm line)
     handler_path: str
     handler_resolved: bool
-    sends: List[str]
     delta: str
     writes: List[str]
     epoch_guarded: Optional[bool]  # None: handler unresolved, check skipped
@@ -295,24 +404,28 @@ class ControllerInfo:
     entry: str
     ladder_path: str
     ladder_line: int
+    owner: str  # class defining the entry method (may be a base class)
+    has_default: bool  # the entry ladder ends in a bare ``else``
     arms: List[Arm]
+
+
+#: One if/elif chain: its head, its mtype-matching arms, and whether it
+#: ends in a non-empty ``else``.
+Chain = Tuple[ast.If, List[Tuple[ast.If, Set[str]]], bool]
 
 
 def _arm_chains(
     fn: ast.FunctionDef, subjects: Set[str], constants: MtypeConstants
-) -> List[Tuple[ast.If, List[Tuple[ast.If, Set[str]]]]]:
-    """Top-of-chain If nodes with their mtype-matching arms.
-
-    Independent of the dispatch pass's ``_staticcheck_seen`` markers so
-    both passes can walk the same shared trees in one run.
-    """
-    chains: List[Tuple[ast.If, List[Tuple[ast.If, Set[str]]]]] = []
+) -> List[Chain]:
+    """The if/elif chains of ``fn`` that have mtype-matching arms."""
+    chains: List[Chain] = []
     seen: Set[int] = set()
     for node in ast.walk(fn):
         if not isinstance(node, ast.If) or id(node) in seen:
             continue
         arms: List[Tuple[ast.If, Set[str]]] = []
         cursor: Optional[ast.If] = node
+        has_default = False
         while cursor is not None:
             seen.add(id(cursor))
             matched = _test_mtypes(cursor.test, subjects, constants)
@@ -322,51 +435,11 @@ def _arm_chains(
             if len(orelse) == 1 and isinstance(orelse[0], ast.If):
                 cursor = orelse[0]
             else:
+                has_default = bool(orelse)
                 cursor = None
         if arms:
-            chains.append((node, arms))
+            chains.append((node, arms, has_default))
     return chains
-
-
-def _collect_arm_sends(
-    stmts: Sequence[ast.stmt],
-    env: _FnEnv,
-    src: SourceFile,
-    clsname: str,
-    realm: _Realm,
-    depth: int,
-    visited: Set[Tuple[str, str]],
-) -> Set[str]:
-    sends: Set[str] = set()
-    for stmt in stmts:
-        for call in ast.walk(stmt):
-            if not isinstance(call, ast.Call):
-                continue
-            site = _send_site_of(call, env, src)
-            if site is not None and site.mtypes:
-                roles = sorted(site.roles) or ["?"]
-                for mtype in sorted(site.mtypes):
-                    for role in roles:
-                        sends.add(f"{mtype}->{role}")
-                continue
-            if (
-                depth > 0
-                and isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "self"
-            ):
-                name = call.func.attr
-                if (clsname, name) in visited:
-                    continue
-                visited.add((clsname, name))
-                resolved = realm.resolve_method(clsname, name)
-                if resolved is not None:
-                    sub_fn, sub_src, _ = resolved
-                    sends |= _collect_arm_sends(
-                        sub_fn.body, _FnEnv(sub_fn), sub_src, clsname,
-                        realm, depth - 1, visited,
-                    )
-    return sends
 
 
 class _AliasExpander(ast.NodeTransformer):
@@ -394,13 +467,11 @@ def _guard_text(test: ast.AST, constants: MtypeConstants) -> str:
 def _build_arm(
     ifnode: ast.If,
     matched: Set[str],
-    fn: ast.FunctionDef,
     esrc: SourceFile,
     clsname: str,
     realm: _Realm,
     constants: MtypeConstants,
 ) -> Arm:
-    env = _FnEnv(fn)
     handler: Optional[str] = None
     for name in _self_call_names(ast.Module(body=list(ifnode.body), type_ignores=[])):
         handler = name
@@ -418,9 +489,6 @@ def _build_arm(
         epoch_guarded = None  # can't see the handler: no verdict
     else:
         epoch_guarded = _has_epoch_compare([ifnode.test] + scope)
-    sends = _collect_arm_sends(
-        ifnode.body, env, esrc, clsname, realm, _CALL_DEPTH, set()
-    )
     return Arm(
         mtypes=sorted(matched),
         line=ifnode.lineno,
@@ -429,7 +497,6 @@ def _build_arm(
         handler_line=handler_fn.lineno if handler_fn is not None else ifnode.lineno,
         handler_path=handler_src.path if handler_src is not None else esrc.path,
         handler_resolved=handler is None or handler_fn is not None,
-        sends=sorted(sends),
         delta=_delta_of(scope),
         writes=_writes_of(scope),
         epoch_guarded=epoch_guarded,
@@ -453,22 +520,23 @@ def extract_controllers(files: List[SourceFile]) -> Dict[str, ControllerInfo]:
                 break
         if entry is None:
             continue
-        mname, (fn, esrc, _owner) = entry
+        mname, (fn, esrc, owner) = entry
         subjects = _mtype_subjects(fn)
         constants = _module_mtype_constants(esrc)
         chains = _arm_chains(fn, subjects, constants)
         if not chains:
             continue
         arms: List[Arm] = []
-        for _head, chain_arms in chains:
+        for _head, chain_arms, _default in chains:
             for ifnode, matched in chain_arms:
-                arms.append(_build_arm(ifnode, matched, fn, esrc, clsname, realm,
+                arms.append(_build_arm(ifnode, matched, esrc, clsname, realm,
                                        constants))
         arms.sort(key=lambda a: (a.line, a.mtypes))
+        head, _arms, has_default = min(chains, key=lambda c: c[0].lineno)
         out[f"{family}/{role}"] = ControllerInfo(
             key=f"{family}/{role}", class_name=clsname, path=src.path,
-            entry=mname, ladder_path=esrc.path,
-            ladder_line=min(c[0].lineno for c in chains), arms=arms,
+            entry=mname, ladder_path=esrc.path, ladder_line=head.lineno,
+            owner=owner.name, has_default=has_default, arms=arms,
         )
     return out
 
@@ -650,7 +718,6 @@ def build_model(files: List[SourceFile]) -> Dict[str, object]:
                     "line": arm.line,
                     "guard": arm.guard,
                     "handler": arm.handler,
-                    "sends": arm.sends,
                     "delta": arm.delta,
                     "writes": arm.writes,
                     "epoch_guarded": arm.epoch_guarded,
@@ -698,6 +765,8 @@ class ProtocolModelPass(Pass):
         "controller-missing-transition",
         "token-delta-mismatch",
         "recreation-epoch-unguarded",
+        "dispatch-no-default",
+        "dispatch-unknown-mtype",
     )
     rule_docs = {
         "model-missing-transition": (
@@ -726,6 +795,17 @@ class ProtocolModelPass(Pass):
             "recreation, an unguarded handler resurrects destroyed "
             "tokens from pre-crash messages."
         ),
+        "dispatch-no-default": (
+            "A controller's entry ladder (_process/_receive) has no "
+            "default arm, so an unexpected message type falls through "
+            "without a trace.  Add an 'else: raise' (the repo's idiom) "
+            "so drift fails loudly."
+        ),
+        "dispatch-unknown-mtype": (
+            "The code references a MsgType member that does not exist.  "
+            "A typo'd ladder arm can never match; a typo'd send can "
+            "never be constructed.  Usually a rename that missed a site."
+        ),
     }
     rule_examples = {
         "model-missing-transition": (
@@ -749,18 +829,74 @@ class ProtocolModelPass(Pass):
             "handler '_on_tokens' handles stale-epoch carrier(s) "
             "TOK_ACK, TOK_DATA without an epoch guard"
         ),
+        "dispatch-no-default": (
+            "repro/core/base.py:112: warning[dispatch-no-default] "
+            "TokenCacheController._process: message-type ladder has no "
+            "default arm — unexpected types are silently dropped"
+        ),
+        "dispatch-unknown-mtype": (
+            "repro/core/l2.py:88: error[dispatch-unknown-mtype] "
+            "MsgType.TOK_GETZ is not a member of MsgType (typo'd arm "
+            "can never match)"
+        ),
     }
 
     def check(self, files: List[SourceFile]) -> List[Finding]:
+        findings: Set[Finding] = set(self._unknown_mtypes(files))
         controllers = extract_controllers(files)
+        self._defaults(controllers, findings)
         models = extract_models(files)
-        if not controllers or not models:
-            return []
-        findings: Set[Finding] = set()
-        self._cross_check(controllers, models, findings)
-        self._unmapped_families(models, findings)
-        self._epoch_guards(controllers, findings)
+        if controllers and models:
+            self._cross_check(controllers, models, findings)
+            self._unmapped_families(models, findings)
+            self._epoch_guards(controllers, findings)
         return sorted(findings)
+
+    # -- ladder hygiene -------------------------------------------------
+    def _unknown_mtypes(self, files: List[SourceFile]) -> List[Finding]:
+        found = _Realm(files).lookup("MsgType")
+        if found is None:
+            return []  # no enum in scope: nothing to check
+        members = {
+            tgt.id
+            for stmt in found[0].body if isinstance(stmt, ast.Assign)
+            for tgt in stmt.targets if isinstance(tgt, ast.Name)
+        }
+        out: List[Finding] = []
+        for src in files:
+            if src.module.startswith("repro.staticcheck"):
+                continue  # this package names members in tables/docs
+            for node in ast.walk(src.tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "MsgType"
+                    and node.attr.isupper()
+                    and node.attr not in members
+                ):
+                    out.append(self.finding(
+                        src, node, "dispatch-unknown-mtype",
+                        f"MsgType.{node.attr} is not a member of MsgType "
+                        f"(typo'd arm can never match)",
+                    ))
+        return out
+
+    @staticmethod
+    def _defaults(
+        controllers: Dict[str, ControllerInfo], findings: Set[Finding]
+    ) -> None:
+        for c in controllers.values():
+            if c.has_default:
+                continue
+            findings.add(Finding(
+                path=c.ladder_path, line=c.ladder_line,
+                rule="dispatch-no-default", severity="warning",
+                message=(
+                    f"{c.owner}.{c.entry}: message-type ladder has no "
+                    f"default arm — unexpected types are silently dropped"
+                ),
+                snippet="",
+            ))
 
     # -- correspondence-table checks ------------------------------------
     def _cross_check(

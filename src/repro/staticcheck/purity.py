@@ -15,22 +15,9 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.staticcheck.base import Pass, module_in
+from repro.staticcheck.base import SIM_SCOPE, Pass, module_in
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.source import SourceFile
-
-#: Packages that must stay pure.
-SCOPE = (
-    "repro.sim",
-    "repro.core",
-    "repro.directory",
-    "repro.interconnect",
-    "repro.snooping",
-    "repro.perfect",
-    "repro.memory",
-    "repro.cpu",
-    "repro.system",
-)
 
 #: Stdlib modules that carry ambient process state.
 FORBIDDEN = {
@@ -68,7 +55,7 @@ class PurityPass(Pass):
     def check(self, files: List[SourceFile]) -> List[Finding]:
         findings: List[Finding] = []
         for src in files:
-            if src.module != "<fixture>" and not module_in(src, SCOPE):
+            if src.module != "<fixture>" and not module_in(src, SIM_SCOPE):
                 continue
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.Import):

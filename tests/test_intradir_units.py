@@ -174,3 +174,45 @@ def test_recall_eviction_frees_the_set(rig):
     wb_reqs = [m for m in inboxes["mem"]
                if m.mtype is MsgType.DIR_WB_REQ and m.addr == victim]
     assert wb_reqs
+
+
+def test_clean_eviction_notice_drops_the_sharer(rig):
+    # An L1's clean eviction sends DIR_WB_TOKEN with extra="notice": the
+    # bank forgets that sharer and sends nothing back.
+    params, sim, net, stats, bank, inboxes = rig
+    l1, other = params.l1d_of(0), params.l1d_of(1)
+    line = L2Line(gstate="S", l2_data=True, value=3)
+    line.sharers = {l1, other}
+    bank.array.allocate(BLOCK, line)
+    net.send(Message(MsgType.DIR_WB_TOKEN, l1, bank.node, BLOCK,
+                     requestor=l1, extra="notice"))
+    sim.run()
+    assert line.sharers == {other}
+    assert not line.busy
+    assert not inboxes[l1] and not inboxes["mem"]
+
+
+def test_cancelled_l1_writeback_unblocks_and_drains(rig):
+    # Phase 3 of an L1 writeback may be a cancelled DIR_WB_TOKEN (the
+    # eviction buffer lost ownership while the grant was in flight): it
+    # must clear the busy bit and serve the request queued behind it.
+    params, sim, net, stats, bank, inboxes = rig
+    l1, other = params.l1d_of(0), params.l1d_of(1)
+    line = L2Line(gstate="M", l2_data=True, value=7, owner_l1=l1,
+                  owner_state="M")
+    bank.array.allocate(BLOCK, line)
+    net.send(Message(MsgType.DIR_WB_REQ, l1, bank.node, BLOCK, requestor=l1))
+    sim.run()
+    assert [m.mtype for m in inboxes[l1]] == [MsgType.DIR_WB_GRANT]
+    assert line.busy
+    _local_gets(net, sim, params, proc=1)
+    assert len(line.queue) == 1
+    net.send(Message(MsgType.DIR_WB_TOKEN, l1, bank.node, BLOCK,
+                     requestor=l1, extra="cancelled"))
+    sim.run()
+    # The queued read was granted from the L2's copy; the line is busy
+    # again only for that grant's unblock.
+    assert not line.queue
+    grants = [m for m in inboxes[other] if m.mtype is MsgType.DIR_DATA]
+    assert len(grants) == 1 and grants[0].data == 7
+    assert line.owner_l1 == other

@@ -97,7 +97,7 @@ def test_controller_arms_have_expected_shape():
     assert arm.epoch_guarded is True
     transients = [a for a in ctrls["token/mem"].arms if "TOK_GETS" in a.mtypes]
     assert transients[0].delta == "-"
-    assert any(s.startswith("TOK_DATA->") for s in transients[0].sends)
+    assert transients[0].handler == "_on_transient"
 
 
 def test_model_families_have_expected_shape():
@@ -155,6 +155,37 @@ class TokenMemController:
         else:
             raise ValueError(msg)
 '''
+
+
+CACHE_LADDER_FIXTURE = '''\
+from repro.interconnect.message import MsgType
+
+_TOKEN_CARRIERS = (MsgType.TOK_DATA, MsgType.TOK_ACK, MsgType.TOK_WB,
+                   MsgType.TOK_WB_DATA)
+
+
+class TokenCacheController:
+    """Copy of the entry ladder the L1 and L2 token caches share."""
+
+    def _process(self, msg):
+        t = msg.mtype
+        if t in (MsgType.TOK_GETS, MsgType.TOK_GETX):
+            self._on_transient(msg)
+        elif t in _TOKEN_CARRIERS:
+            self._on_tokens(msg)
+        elif t is MsgType.PERSIST_ACTIVATE:
+            self._on_activate(msg)
+        elif t is MsgType.PERSIST_DEACTIVATE:
+            self._on_deactivate(msg)
+        elif t is MsgType.TOK_RECREATE_EPOCH:
+            self._on_recreate_epoch(msg)
+        else:
+            raise ValueError(msg)
+'''
+CACHE_RECREATE_EPOCH_ARM = (
+    "        elif t is MsgType.TOK_RECREATE_EPOCH:\n"
+    "            self._on_recreate_epoch(msg)\n"
+)
 
 
 ALIASED_CONTROLLER_FIXTURE = '''\
@@ -233,6 +264,21 @@ def test_fixture_controller_missing_transition(tmp_path):
     f = findings[0]
     assert f.path == path.as_posix()
     assert "TOK_RECREATE_REQ" in f.message and "recreate" in f.message
+    # The token caches' shared ladder without its TOK_RECREATE_EPOCH arm:
+    # both cache roles inherit it, so each is reported at that ladder.
+    assert CACHE_RECREATE_EPOCH_ARM in CACHE_LADDER_FIXTURE
+    path = _fixture(
+        tmp_path, CACHE_LADDER_FIXTURE.replace(CACHE_RECREATE_EPOCH_ARM, ""),
+        name="cache_mod.py",
+    )
+    findings, _ = run_passes(extra_files=[path], passes=[ProtocolModelPass()])
+    ladder = _line_of(path, "if t in (MsgType.TOK_GETS")
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("controller-missing-transition", path.as_posix(), ladder)] * 2
+    assert sorted(f.message.split(" ")[0] for f in findings) == [
+        "TokenL1Controller", "TokenL2Controller"]
+    assert all("MsgType.TOK_RECREATE_EPOCH" in f.message for f in findings)
+
 
 
 # ---------------------------------------------------------------------------

@@ -318,11 +318,24 @@ def test_unknown_pair_raises_config_error():
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_message_size_table_matches_payload_rule(config):
+    # What ``send`` charges: every hop of the route, and the traffic
+    # meter once per hop, grow by the data or control message size.
     net, params = build(**CONFIGS[config])
+    src = params.l1d_of(0)
+    dst = NodeId(NodeKind.MEM, params.num_chips - 1)
+    net.register(dst, lambda msg: None)
+    route = net.route(src, dst)
+    assert route and len(set(route)) == len(route)
     for mtype in MsgType:
         expected = (params.data_msg_bytes if mtype.has_data
                     else params.control_msg_bytes)
-        assert net._msg_size[mtype] == expected
+        carried = [link.bytes_carried for link in route]
+        metered = sum(net.meter.bytes.values())
+        net.send(Message(mtype, src, dst, 0))
+        net.sim.run()
+        assert [link.bytes_carried - b for link, b in zip(route, carried)] == (
+            [expected] * len(route)), mtype
+        assert sum(net.meter.bytes.values()) - metered == expected * len(route)
 
 
 # ---------------------------------------------------------------------------
