@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Section 5 in miniature: model-check the coherence protocols.
 
-Exhaustively explores down-scaled models of the TokenCMP correctness
-substrate (safety-only, arbiter activation, distributed activation) and a
-flat directory protocol, verifying safety (token conservation, single
-writer, value coherence), deadlock freedom, and liveness under fairness.
+Exhaustively explores the models ``python -m repro verify`` checks:
+down-scaled TokenCMP correctness substrates (safety-only, distributed
+activation, arbiter activation, token recreation) and a flat directory
+protocol, verifying safety (token conservation, single writer, value
+coherence), deadlock freedom, and liveness under fairness.
 
 Because only the correctness substrate is modelled — the performance
 policy is fully nondeterministic — a successful check covers every
@@ -17,33 +18,20 @@ Usage:  python examples/verify_protocols.py [--fast]
 import argparse
 import time
 
+from repro.verification import verify_models
 from repro.verification.checker import check, spec_size
-from repro.verification.dir_model import DirFlatModel
-from repro.verification.token_model import (
-    TokenArbModel,
-    TokenDstModel,
-    TokenSafetyModel,
-    _TokenBase,
-)
+from repro.verification.token_model import _TokenBase
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
-                        help="skip the larger persistent-request models")
+                        help="skip TokenCMP-arb, the one slow model")
     args = parser.parse_args()
-
-    models = [
-        (TokenSafetyModel(), False),
-        (DirFlatModel(), True),
-    ]
-    if not args.fast:
-        models.insert(1, (TokenArbModel(values=1, coarse_sends=True), True))
-        models.insert(2, (TokenDstModel(values=1, coarse_sends=True), True))
 
     print(f"{'model':22s} {'states':>10s} {'transitions':>12s} "
           f"{'diameter':>9s} {'spec lines':>11s} {'time':>8s}")
-    for model, liveness in models:
+    for model, liveness in verify_models(fast=args.fast):
         t0 = time.time()
         result = check(model, max_states=6_000_000, check_liveness=liveness)
         lines = spec_size(type(model))

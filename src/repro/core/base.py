@@ -252,18 +252,18 @@ class TokenCacheController:
         holder = self._deferred.setdefault(addr, [])
         record = []
 
-        def _fire() -> None:
+        def _fire(_) -> None:
             holder.remove(record[0])
             fn(*args)
 
-        event = self.sim.schedule_at(when_ps, _fire)
+        event = self.sim.call_at(when_ps, _fire, None)
         record.append((event, fn, args))
         holder.append(record[0])
 
     def _flush_deferred(self, addr: int) -> None:
         """Run all parked actions now (the hold window ended early)."""
         for event, fn, args in self._deferred.pop(addr, []):
-            event.cancel()
+            self.sim.cancel(event)
             fn(*args)
         self._hold_recheck.discard(addr)
 

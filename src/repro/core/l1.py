@@ -23,7 +23,6 @@ from repro.core.predictor import ContentionPredictor
 from repro.core.timeout import TimeoutEstimator
 from repro.cpu.ops import Load, Rmw, Store, is_write
 from repro.interconnect.message import Message, MsgType
-from repro.sim.kernel import Event
 
 
 @dataclasses.dataclass
@@ -38,9 +37,9 @@ class Transaction:
     retries: int = 0
     persistent: bool = False
     waiting_wave: bool = False  # blocked by the marking rule
-    timer: Optional[Event] = None
+    timer: Optional[list] = None  # kernel record (Simulator.cancel)
     data_source: Optional[str] = None  # who supplied the data (profiling)
-    recreate_timer: Optional[Event] = None  # recovery tier above persistent
+    recreate_timer: Optional[list] = None  # recovery tier above persistent
     recreate_attempts: int = 0
 
 
@@ -93,8 +92,8 @@ class TokenL1Controller(TokenCacheController):
     def access(self, op, done: Callable[[int], None]) -> None:
         """Perform a memory operation; ``done(result)`` at completion."""
         addr = self.params.block_of(op.addr)
-        # No-handle single-arg event (call_after): the op/addr/done pack
-        # rides in one tuple instead of an Event handle with an args tuple.
+        # One kernel record: the kernel passes a callback exactly one
+        # argument, so op, addr and done ride in one tuple.
         self.sim.call_after(self.lookup_latency_ps, self._attempt, (op, addr, done))
 
     def _attempt(self, pack) -> None:
@@ -154,7 +153,7 @@ class TokenL1Controller(TokenCacheController):
             self._go_persistent(tx)
             return
         self._send_transient(tx, global_=False)
-        tx.timer = self.sim.schedule(self.estimator.threshold_ps(), self._on_timeout, tx)
+        tx.timer = self.sim.call_after(self.estimator.threshold_ps(), self._on_timeout, tx)
 
     def _transient_destinations(self, addr: int, global_: bool) -> Tuple[NodeId, ...]:
         if self.cfg.flat_policy:
@@ -202,7 +201,7 @@ class TokenL1Controller(TokenCacheController):
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.tx_retry(self.node, tx.addr, tx.retries, backoff)
-            tx.timer = self.sim.schedule(backoff, self._retry, tx)
+            tx.timer = self.sim.call_after(backoff, self._retry, tx)
         else:
             self._go_persistent(tx)
 
@@ -210,7 +209,7 @@ class TokenL1Controller(TokenCacheController):
         if self._tx.get(tx.addr) is not tx:
             return
         self._send_transient(tx, global_=True)
-        tx.timer = self.sim.schedule(
+        tx.timer = self.sim.call_after(
             self.estimator.threshold_ps(tx.retries), self._on_timeout, tx
         )
 
@@ -249,7 +248,7 @@ class TokenL1Controller(TokenCacheController):
             # Recovery tier above persistent requests: if even persistent
             # arbitration cannot complete this transaction, its tokens
             # were probably destroyed — ask the ruler to recreate them.
-            tx.recreate_timer = self.sim.schedule(
+            tx.recreate_timer = self.sim.call_after(
                 self.estimator.recreation_threshold_ps(), self._on_recreate_timeout, tx
             )
 
@@ -272,7 +271,7 @@ class TokenL1Controller(TokenCacheController):
         # retrying — but never in lock step with other starving requestors.
         wait = self.estimator.recreation_threshold_ps(tx.recreate_attempts)
         jitter = int(self.rng.random() * wait / 2)
-        tx.recreate_timer = self.sim.schedule(
+        tx.recreate_timer = self.sim.call_after(
             wait + jitter, self._on_recreate_timeout, tx
         )
 
@@ -389,9 +388,9 @@ class TokenL1Controller(TokenCacheController):
             return
         del self._tx[addr]
         if tx.timer is not None:
-            tx.timer.cancel()
+            self.sim.cancel(tx.timer)
         if tx.recreate_timer is not None:
-            tx.recreate_timer.cancel()
+            self.sim.cancel(tx.recreate_timer)
         result = self._perform(tx.op, addr)
         self.stats.sample("l1.miss_latency_ps", self.sim.now - tx.start_ps)
         source = tx.data_source or "tokens-only"

@@ -148,7 +148,7 @@ class Arbiter:
 
         Untraced, unfaulted deliveries skip this frame: the kernel
         relays the hop itself (registered in ``__init__``)."""
-        self.sim.schedule(self.params.mem_ctrl_latency_ps, self._process, msg)
+        self.sim.call_after(self.params.mem_ctrl_latency_ps, self._process, msg)
 
     def _process(self, msg: Message) -> None:
         if msg.mtype is _PERSIST_REQ:

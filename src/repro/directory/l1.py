@@ -85,8 +85,8 @@ class DirL1Controller:
     # ------------------------------------------------------------------
     def access(self, op, done: Callable[[int], None]) -> None:
         addr = self.params.block_of(op.addr)
-        # No-handle single-arg event (call_after): the op/addr/done pack
-        # rides in one tuple instead of an Event handle with an args tuple.
+        # One kernel record: the kernel passes a callback exactly one
+        # argument, so op, addr and done ride in one tuple.
         self._call_after(self._latency_ps, self._attempt_cb, (op, addr, done))
 
     def _attempt(self, pack) -> None:
@@ -255,18 +255,18 @@ class DirL1Controller:
         holder = self._deferred.setdefault(addr, [])
         record = []
 
-        def _fire() -> None:
+        def _fire(_) -> None:
             holder.remove(record[0])
             self._process(msg)
 
-        event = self.sim.schedule_at(when_ps, _fire)
+        event = self.sim.call_at(when_ps, _fire, None)
         record.append((event, msg))
         holder.append(record[0])
 
     def _flush_deferred(self, addr: int) -> None:
         """The hold was disarmed (lock release): serve parked messages now."""
         for event, msg in self._deferred.pop(addr, []):
-            event.cancel()
+            self.sim.cancel(event)
             self._process(msg)
 
     def _surrender(self, addr: int, entry, buf):

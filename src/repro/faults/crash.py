@@ -63,7 +63,7 @@ class CrashInjector:
                 len(targets)
             )
         self.victim = targets[index]
-        machine.sim.schedule_at(spec.at_ps, self._fire)
+        machine.sim.call_at(spec.at_ps, self._fire, None)
 
     @staticmethod
     def _targets(machine, level: str):
@@ -75,7 +75,7 @@ class CrashInjector:
                 if isinstance(c, TokenL2Controller)]
 
     # ------------------------------------------------------------------
-    def _fire(self) -> None:
+    def _fire(self, _) -> None:
         ctrl = self.victim
         ledger = self.machine.recovery  # wired by enable_recovery() in ctor
         wiped_tokens = 0

@@ -195,7 +195,7 @@ class FaultyNetwork:
 
     def send_later(self, delay_ps: int, msg: Message) -> None:
         self._track(msg)  # the sender already gave its tokens up
-        self.sim.schedule(delay_ps, self._inner.send, msg)
+        self.sim.call_after(delay_ps, self._inner.send, msg)
 
     def token_absorbed(self, msg: Message) -> None:
         self._in_flight.pop(msg.uid, None)
@@ -325,9 +325,9 @@ class FaultyNetwork:
                     )
                 if forge:
                     self.stats.bump("faults.tokens_created", msg.tokens)
-                self.sim.schedule_at(copy_at, handler, copy)
+                self.sim.call_at(copy_at, handler, copy)
 
         if deliver_at == self.sim.now:
             handler(msg)
         else:
-            self.sim.schedule_at(deliver_at, handler, msg)
+            self.sim.call_at(deliver_at, handler, msg)

@@ -463,7 +463,6 @@ class Network:
             seq += 1
             heappush(queue, [arrival, seq, handler, template, relay_ps, callee])
         sim._seq = seq
-        sim._pending += n
         sim.event_news += n
 
     def send_clones(self, template: Message, dests) -> None:
@@ -560,7 +559,7 @@ class Network:
         counts as in flight from the moment its sender gave the tokens up,
         not from when it finally enters the interconnect.
         """
-        self.sim.schedule(delay_ps, self.send, msg)
+        self.sim.call_after(delay_ps, self.send, msg)
 
     def token_absorbed(self, msg: Message) -> None:
         """A controller folded ``msg``'s tokens into its state (no-op here;

@@ -70,7 +70,7 @@ class KernelProfiler:
             if queue is heap:
                 fn = event[2]
                 if fn is not None:
-                    if type(event) is list and event[4]:  # relayed hop
+                    if event[4]:  # relayed hop
                         count(f"{_site(event[5])} [relay]", 0)
                     else:  # the kernel calls it right after this pop
                         self._fn = fn

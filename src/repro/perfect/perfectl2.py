@@ -77,9 +77,10 @@ class PerfectL1Controller:
         hit = self.array.lookup(addr) is not None
         latency = self.params.l1_latency_ps if hit else self.miss_latency_ps
         self.stats.bump("l1.hits" if hit else "l1.misses")
-        self.sim.schedule(latency, self._complete, op, addr, done)
+        self.sim.call_after(latency, self._complete, (op, addr, done))
 
-    def _complete(self, op, addr: int, done: Callable[[int], None]) -> None:
+    def _complete(self, pack) -> None:
+        op, addr, done = pack
         if self.array.lookup(addr) is None:
             self.array.allocate(addr, _PerfectEntry())
         self.global_l2.note_copy(addr, self)

@@ -11,22 +11,21 @@ Hot-path design
 The kernel is the innermost loop of every experiment, so the per-event
 cost is kept to a handful of C-level operations:
 
-* **Heap entries are flat ``[time, seq, fn, args]`` records.**
-  :class:`Event` subclasses ``list`` so ``heapq`` compares entries with
-  the C ``list`` comparison (time, then the unique sequence number —
-  callables are never reached) instead of a Python-level ``__lt__``.
-* **Cancellation is lazy.**  ``Event.cancel`` blanks the callback slot
-  and fixes the live-event count; the dead entry stays in the heap and
-  is discarded when it surfaces.  The common no-cancel path never pays
-  for cancellation support beyond one ``is None`` check per event.
-* **No-handle events skip the handle.**  Most events in a simulation —
-  message deliveries, lookup-latency hops, thread resumptions — are
-  never cancelled, so their handles are never kept.  :meth:`Simulator.
-  call_after` / :meth:`Simulator.call_at` schedule a single-argument
-  callback as a plain ``[time, seq, fn, arg, relay, callee]`` list
-  (``relay`` 0): one list literal per event and no ``args`` tuple.  The
-  run loop tells the two shapes apart with one ``type(event) is list``
-  check (handle events are :class:`Event` instances).
+* **One record shape.**  Every heap entry is a plain
+  ``[time, seq, fn, arg, relay, callee]`` list: ``heapq`` compares
+  entries with the C ``list`` comparison (time, then the unique
+  sequence number — callables are never reached) instead of a
+  Python-level ``__lt__``, each event is one list literal, and the
+  callback takes its single ``arg`` directly (callers with several
+  values pack a tuple).  :meth:`Simulator.call_after` /
+  :meth:`Simulator.call_at` return the record, which is the only
+  handle a caller needs.
+* **Cancellation is lazy.**  :meth:`Simulator.cancel` blanks the
+  callback and argument slots; the dead entry stays in the heap and is
+  discarded when it surfaces.  The kernel keeps no live-event count, so
+  cancelling a record that already fired blanks a list that is no
+  longer in the heap and changes nothing, and the fire path pays
+  nothing for cancellation beyond one ``is None`` check per event.
 * **The kernel relays lookup hops.**  A controller's network entry
   point typically does nothing but ``call_after(lookup, callee, msg)``.
   :meth:`Simulator.relay_at` schedules such a delivery as one record
@@ -70,61 +69,11 @@ from repro.common.errors import DeadlockError
 _NEVER = float("inf")  # sentinel: compares greater than any event count/time
 
 
-class Event(list):
-    """Handle for a scheduled callback; supports cancellation.
-
-    The event *is* its own heap entry: a ``[time_ps, seq, fn, args]``
-    list (plus a ``sim`` back-reference for the live-event count), so
-    scheduling allocates exactly one record and the heap orders entries
-    with C-level list comparison.  ``seq`` is unique per simulator, so
-    comparisons are always resolved by ``(time, seq)`` and never touch
-    the callback.
-    """
-
-    __slots__ = ("sim",)
-
-    # No __init__ override: entries are built with the C-level list
-    # constructor (``Event((time, seq, fn, args))``) and ``schedule``
-    # assigns the ``sim`` back-reference — one Python-level call fewer
-    # per scheduled event.
-
-    @property
-    def time(self) -> int:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event can no longer fire (cancelled or fired)."""
-        return self[2] is None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired).
-
-        Lazy deletion: the heap entry is not removed, only its callback
-        slot is blanked — the run loop discards blank entries as they
-        surface.  The simulator's live-event count is fixed up here, and
-        the blank slot makes a second ``cancel`` (or a cancel after
-        firing — the run loop blanks the slot too) an exact no-op.
-        """
-        if self[2] is None:
-            return
-        self[2] = None
-        self[3] = None  # drop the args reference promptly
-        sim = self.sim
-        if sim is not None:
-            sim._pending -= 1
-            self.sim = None
-
-
 class Simulator:
     """Deterministic discrete-event scheduler with picosecond time."""
 
     __slots__ = (
-        "_queue", "_now", "_seq", "_pending", "events_fired",
+        "_queue", "_now", "_seq", "events_fired",
         "_watchers", "_watch_next", "tracer", "event_news",
     )
 
@@ -132,14 +81,13 @@ class Simulator:
         self._queue: list = []
         self._now: int = 0
         self._seq: int = 0
-        self._pending: int = 0
         self.events_fired: int = 0
         self._watchers: list = []  # [every_events, fn, next_due] records
         self._watch_next = _NEVER  # min next_due over watchers
         self.tracer = None  # repro.obs.trace.Tracer (attach() sets this)
-        # No-handle records constructed (call_after / call_at / relay_at
-        # and Network.send_fanout; a relayed record counts once).  Kept
-        # only for the host-time harness (``hostbench/``), which reads it.
+        # Records constructed (call_after / call_at / relay_at and
+        # Network.send_fanout; a relayed record counts once).  Kept only
+        # for the host-time harness (``hostbench/``), which reads it.
         self.event_news: int = 0
 
     def add_watcher(self, fn: Callable[[], None], every_events: int = 1024) -> None:
@@ -197,42 +145,25 @@ class Simulator:
         """Current simulated time in picoseconds."""
         return self._now
 
-    def schedule(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay_ps`` picoseconds; returns a handle."""
-        if delay_ps < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay_ps})")
-        self._seq = seq = self._seq + 1
-        event = Event((self._now + delay_ps, seq, fn, args))
-        event.sim = self
-        self._pending += 1
-        heappush(self._queue, event)
-        return event
+    def call_after(self, delay_ps: int, fn: Callable[[Any], Any], arg: Any) -> list:
+        """Run ``fn(arg)`` after ``delay_ps``; returns the record.
 
-    def schedule_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute time ``time_ps`` (>= now)."""
-        return self.schedule(time_ps - self._now, fn, *args)
-
-    def call_after(self, delay_ps: int, fn: Callable[[Any], Any], arg: Any) -> None:
-        """Run ``fn(arg)`` after ``delay_ps``; no handle.
-
-        The fast path for the overwhelmingly common case — message
-        deliveries, lookup-latency hops, thread resumptions — where the
-        caller never cancels.  The heap entry is a plain
-        ``[time, seq, fn, arg, relay, callee]`` list with ``relay`` 0,
-        and ``arg`` is stored directly (no ``args`` tuple).  Time/sequence
-        semantics are identical to :meth:`schedule`, so swapping a
-        ``schedule`` call site to ``call_after`` never changes simulated
-        behaviour.
+        The record is the heap entry itself, a plain
+        ``[time, seq, fn, arg, relay, callee]`` list with ``relay`` 0;
+        callers that may call the event off keep it for :meth:`cancel`,
+        the rest drop it.
         """
         if delay_ps < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay_ps})")
         self._seq = seq = self._seq + 1
         self.event_news += 1
-        self._pending += 1
-        heappush(self._queue, [self._now + delay_ps, seq, fn, arg, 0, None])
+        record = [self._now + delay_ps, seq, fn, arg, 0, None]
+        heappush(self._queue, record)
+        return record
 
-    def call_at(self, time_ps: int, fn: Callable[[Any], Any], arg: Any) -> None:
-        """Run ``fn(arg)`` at absolute ``time_ps`` (>= now); no handle.
+    def call_at(self, time_ps: int, fn: Callable[[Any], Any], arg: Any) -> list:
+        """Run ``fn(arg)`` at absolute ``time_ps`` (>= now); returns the
+        record, like :meth:`call_after`.
 
         Open-coded rather than delegating to :meth:`call_after`: callers
         that already computed an absolute time (message deliveries) skip
@@ -244,8 +175,21 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         self.event_news += 1
-        self._pending += 1
-        heappush(self._queue, [time_ps, seq, fn, arg, 0, None])
+        record = [time_ps, seq, fn, arg, 0, None]
+        heappush(self._queue, record)
+        return record
+
+    def cancel(self, record: list) -> None:
+        """Keep a record from :meth:`call_after` / :meth:`call_at` from
+        firing.
+
+        Lazy deletion: the callback and argument slots are blanked and
+        the run loop discards the entry when it surfaces.  A second
+        cancel, or a cancel after the record fired (it is no longer in
+        the heap), changes nothing the kernel reads.
+        """
+        record[2] = None
+        record[3] = None  # drop the argument reference promptly
 
     def relay_at(
         self,
@@ -256,7 +200,7 @@ class Simulator:
         callee: Callable[[Any], Any],
     ) -> None:
         """Deliver ``arg`` at ``time_ps`` to an entry point ``fn`` whose
-        whole body is ``call_after(relay_ps, callee, arg)``; no handle.
+        whole body is ``call_after(relay_ps, callee, arg)``.
 
         The kernel stands in for ``fn``: at ``time_ps`` the record is
         re-queued for ``time_ps + relay_ps`` under the next sequence
@@ -272,18 +216,17 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         self.event_news += 1
-        self._pending += 1
         heappush(self._queue, [time_ps, seq, fn, arg, relay_ps, callee])
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1)).
+        """Number of queued, not-cancelled events.
 
-        Maintained live — incremented on :meth:`schedule`, decremented on
-        :meth:`Event.cancel` and on firing — so watchdogs and monitors can
-        poll it every check interval without degrading large runs.
+        Counted on demand with one scan of the heap (O(queue length));
+        the kernel keeps no live count, so nothing on the schedule, fire
+        or cancel paths pays for it.
         """
-        return self._pending
+        return sum(1 for e in self._queue if e[2] is not None)
 
     def run(
         self,
@@ -307,7 +250,7 @@ class Simulator:
             )
         tracer = self.tracer
         if tracer is not None:
-            tracer.emit("sim.run.begin", pending=self._pending)
+            tracer.emit("sim.run.begin", pending=self.pending)
         try:
             return self._run(until, max_events, expect_drain)
         finally:
@@ -315,7 +258,7 @@ class Simulator:
                 tracer.emit(
                     "sim.run.end",
                     events_fired=self.events_fired,
-                    pending=self._pending,
+                    pending=self.pending,
                 )
 
     def _run(
@@ -332,8 +275,7 @@ class Simulator:
         #
         # ``events_fired`` is tracked in a local (``total``) and written
         # back before watchers fire and in the ``finally`` — watchers are
-        # the only mid-run readers.  ``_pending`` stays live per event:
-        # callbacks legitimately poll ``sim.pending``.
+        # the only mid-run readers.
         queue = self._queue
         pop = heappop
         push = heappush
@@ -353,27 +295,20 @@ class Simulator:
                         if queue:  # events remain past ``until``
                             self._now = until
                         return self._now
-                    continue  # cancelled: uncounted by Event.cancel
-                if type(event) is list:  # no-handle entry
-                    relay = event[4]
-                    if relay:
-                        # Relayed lookup hop: the entry point's
-                        # call_after, done in place (module docstring).
-                        self._now = now = event[0]
-                        event[0] = now + relay
-                        self._seq = event[1] = self._seq + 1
-                        event[2] = event[5]
-                        event[4] = 0
-                        push(queue, event)
-                    else:
-                        self._pending -= 1
-                        self._now = event[0]
-                        fn(event[3])
+                    continue  # cancelled
+                relay = event[4]
+                if relay:
+                    # Relayed lookup hop: the entry point's call_after,
+                    # done in place (module docstring).
+                    self._now = now = event[0]
+                    event[0] = now + relay
+                    self._seq = event[1] = self._seq + 1
+                    event[2] = event[5]
+                    event[4] = 0
+                    push(queue, event)
                 else:
-                    self._pending -= 1
                     self._now = event[0]
-                    event[2] = None  # mark fired: late cancel() no-ops
-                    fn(*event[3])
+                    fn(event[3])
                 total += 1
                 if total >= self._watch_next:
                     self.events_fired = total

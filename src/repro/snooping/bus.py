@@ -57,18 +57,18 @@ class LogicalBus:
         """Queue a transaction for the bus."""
         self._queue.append(txn)
         if not self._busy:
-            self._grant_next()
+            self._grant_next(None)
 
-    def _grant_next(self) -> None:
+    def _grant_next(self, _) -> None:
         if not self._queue:
             self._busy = False
             return
         self._busy = True
         txn = self._queue.popleft()
-        self.sim.schedule(self.arbitration_ps, self._broadcast, txn)
+        self.sim.call_after(self.arbitration_ps, self._broadcast, txn)
 
     def _broadcast(self, txn: BusTransaction) -> None:
         self.transactions += 1
         for snooper in self._snoopers:
             snooper(txn)
-        self.sim.schedule(self.occupancy_ps, self._grant_next)
+        self.sim.call_after(self.occupancy_ps, self._grant_next, None)

@@ -19,7 +19,7 @@ the classic snooping upgrade race.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
@@ -76,9 +76,10 @@ class SnoopL1Controller:
     # -- processor side --------------------------------------------------
     def access(self, op, done: Callable[[int], None]) -> None:
         addr = self.params.block_of(op.addr)
-        self.sim.schedule(self.params.l1_latency_ps, self._attempt, op, addr, done)
+        self.sim.call_after(self.params.l1_latency_ps, self._attempt, (op, addr, done))
 
-    def _attempt(self, op, addr: int, done) -> None:
+    def _attempt(self, pack) -> None:
+        op, addr, done = pack
         entry = self.array.lookup(addr)
         write = is_write(op)
         if entry is not None and (entry.state in (M, E) if write else entry.state != I):
@@ -199,7 +200,7 @@ class SnoopCoordinator:
         if kind == "UPGRADE":
             self._apply_getx_invalidation(txn, keep=requestor)
             requestor.entry(txn.addr).state = M
-            self.sim.schedule(self.bus.occupancy_ps, self._finish, requestor, txn.addr)
+            self.sim.call_after(self.bus.occupancy_ps, self._finish, (requestor, txn.addr))
             return
         source_ps, value = self._find_data(txn, requestor)
         if kind == "GETX":
@@ -208,9 +209,10 @@ class SnoopCoordinator:
         else:
             grant = self._apply_gets_downgrade(txn, requestor)
         requestor.install(txn.addr, grant, value)
-        self.sim.schedule(source_ps, self._finish, requestor, txn.addr)
+        self.sim.call_after(source_ps, self._finish, (requestor, txn.addr))
 
-    def _finish(self, requestor: SnoopL1Controller, addr: int) -> None:
+    def _finish(self, pack: Tuple[SnoopL1Controller, int]) -> None:
+        requestor, addr = pack
         requestor.complete(addr)
         deferred = self._block_queues.pop(addr, [])
         for txn in deferred:

@@ -32,7 +32,7 @@ class FakeL1:
         self.latency = latency
 
     def access(self, op, done):
-        self.sim.schedule(self.latency, done, 42)
+        self.sim.call_after(self.latency, done, 42)
 
 
 def test_sequencer_measures_latency():

@@ -7,9 +7,9 @@ both directory variants on ``oltp`` (120 refs/proc) and ``locking``
 (which exercises the response-delay hold window), at seed 1.
 
 The budget test is a deterministic work counter for the controllers'
-scheduling idiom: every latency hop and delivery rides the kernel's
-no-handle path (``call_after``); only the L1's cancellable
-hold-window deferral takes an :class:`~repro.sim.kernel.Event` handle.
+scheduling idiom: every latency hop and delivery is a relayed record or
+a ``call_after``; only the L1's hold-window deferral goes through
+``call_at`` and keeps its record, and a lock release cancels each one.
 """
 
 import hashlib
@@ -62,7 +62,7 @@ def test_directory_cell_pinned(protocol, workload):
     ("DirectoryCMP-zero", 78),
 ])
 def test_only_hold_window_deferrals_take_event_handles(monkeypatch, protocol, defers):
-    calls = {"schedule": 0, "schedule_at": 0, "_defer": 0}
+    calls = {"call_at": 0, "cancel": 0, "_defer": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -73,10 +73,11 @@ def test_only_hold_window_deferrals_take_event_handles(monkeypatch, protocol, de
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(Simulator, "schedule")
-    counting(Simulator, "schedule_at")
+    counting(Simulator, "call_at")
+    counting(Simulator, "cancel")
     counting(DirL1Controller, "_defer")
     result = run_cell(_cell(protocol, LOCKING))
     assert result.raw.machine.sim.events_fired == PINS[(protocol, LOCKING)][0]
-    # schedule_at delegates to schedule, so each deferral enters both once.
-    assert calls == {"schedule": defers, "schedule_at": defers, "_defer": defers}
+    # Each deferral enters call_at once, and on this cell every one is
+    # flushed early by a lock release, which cancels its record.
+    assert calls == {"call_at": defers, "cancel": defers, "_defer": defers}

@@ -9,9 +9,9 @@ from repro.sim.kernel import Simulator
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(30, order.append, "c")
-    sim.schedule(10, order.append, "a")
-    sim.schedule(20, order.append, "b")
+    sim.call_after(30, order.append, "c")
+    sim.call_after(10, order.append, "a")
+    sim.call_after(20, order.append, "b")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == 30
@@ -21,7 +21,7 @@ def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
     for tag in range(5):
-        sim.schedule(100, order.append, tag)
+        sim.call_after(100, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -29,8 +29,8 @@ def test_same_time_events_fire_in_schedule_order():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.schedule(10, fired.append, "x")
-    sim.schedule(5, event.cancel)
+    event = sim.call_after(10, fired.append, "x")
+    sim.call_after(5, sim.cancel, event)
     sim.run()
     assert fired == []
 
@@ -42,9 +42,9 @@ def test_schedule_during_run_extends_simulation():
     def chain(n):
         seen.append(n)
         if n < 3:
-            sim.schedule(10, chain, n + 1)
+            sim.call_after(10, chain, n + 1)
 
-    sim.schedule(0, chain, 0)
+    sim.call_after(0, chain, 0)
     sim.run()
     assert seen == [0, 1, 2, 3]
     assert sim.now == 30
@@ -53,7 +53,8 @@ def test_schedule_during_run_extends_simulation():
 def test_schedule_at_absolute_time():
     sim = Simulator()
     times = []
-    sim.schedule(10, lambda: sim.schedule_at(50, lambda: times.append(sim.now)))
+    sim.call_after(
+        10, lambda _: sim.call_at(50, lambda _: times.append(sim.now), None), None)
     sim.run()
     assert times == [50]
 
@@ -61,14 +62,14 @@ def test_schedule_at_absolute_time():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.schedule(-1, lambda: None)
+        sim.call_after(-1, lambda _: None, None)
 
 
 def test_run_until_stops_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, 1)
-    sim.schedule(100, fired.append, 2)
+    sim.call_after(10, fired.append, 1)
+    sim.call_after(100, fired.append, 2)
     sim.run(until=50)
     assert fired == [1]
     assert sim.now == 50
@@ -78,8 +79,8 @@ def test_run_until_stops_clock():
 
 def test_run_until_the_past_is_rejected():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
-    sim.schedule(50, lambda: None)
+    sim.call_after(10, lambda _: None, None)
+    sim.call_after(50, lambda _: None, None)
     sim.run(until=20)
     with pytest.raises(ValueError, match="past"):
         sim.run(until=5)
@@ -91,20 +92,20 @@ def test_run_until_the_past_is_rejected():
 def test_max_events_with_expect_drain_raises():
     sim = Simulator()
 
-    def forever():
-        sim.schedule(1, forever)
+    def forever(_):
+        sim.call_after(1, forever, None)
 
-    sim.schedule(0, forever)
+    sim.call_after(0, forever, None)
     with pytest.raises(DeadlockError):
         sim.run(max_events=100, expect_drain=True)
 
 
 def test_pending_counts_live_events():
     sim = Simulator()
-    e1 = sim.schedule(10, lambda: None)
-    sim.schedule(20, lambda: None)
+    e1 = sim.call_after(10, lambda _: None, None)
+    sim.call_after(20, lambda _: None, None)
     assert sim.pending == 2
-    e1.cancel()
+    sim.cancel(e1)
     assert sim.pending == 1
 
 
@@ -112,7 +113,7 @@ def test_pending_decrements_as_events_fire():
     sim = Simulator()
     seen = []
     for delay in (10, 20, 30):
-        sim.schedule(delay, lambda: seen.append(sim.pending))
+        sim.call_after(delay, lambda _: seen.append(sim.pending), None)
     sim.run()
     assert sim.pending == 0
     assert seen == [2, 1, 0]  # each callback sees the not-yet-fired rest
@@ -120,20 +121,22 @@ def test_pending_decrements_as_events_fire():
 
 def test_cancel_after_fire_does_not_double_decrement():
     sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    sim.schedule(20, lambda: None)
+    event = sim.call_after(10, lambda _: None, None)
+    sim.call_after(20, lambda _: None, None)
     sim.run(until=15)  # first event fired, second still pending
     assert sim.pending == 1
-    event.cancel()  # no-op: already fired
+    sim.cancel(event)  # harmless: the record left the heap when it fired
     assert sim.pending == 1
+    sim.run()
+    assert (sim.pending, sim.events_fired) == (0, 2)
 
 
 def test_double_cancel_decrements_once():
     sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    sim.schedule(20, lambda: None)
-    event.cancel()
-    event.cancel()
+    event = sim.call_after(10, lambda _: None, None)
+    sim.call_after(20, lambda _: None, None)
+    sim.cancel(event)
+    sim.cancel(event)
     assert sim.pending == 1
     sim.run()
     assert sim.pending == 0
@@ -144,14 +147,14 @@ def test_watcher_cadence_spans_multiple_runs():
     ticks = []
     sim.add_watcher(lambda: ticks.append(sim.events_fired), every_events=4)
     for delay in range(1, 7):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     assert sim.events_fired == 6
     assert ticks == [4]
     # The cadence is on the *cumulative* fired-event count, so a second
     # run() on the same kernel continues the rhythm instead of restarting.
     for delay in range(1, 7):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     assert sim.events_fired == 12
     assert ticks == [4, 8, 12]
@@ -166,7 +169,7 @@ def test_watcher_cadence_does_not_drift_across_bounded_runs():
     ticks = []
     sim.add_watcher(lambda: ticks.append(sim.events_fired), every_events=4)
     for delay in range(1, 11):  # one event per ps, t=1..10
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run(until=3)  # 3 events: inside the first window
     assert ticks == []
     sim.run(until=5)  # 5 events total: crossed 4
@@ -183,7 +186,7 @@ def test_watcher_cadence_with_max_events_bounds():
     ticks = []
     sim.add_watcher(lambda: ticks.append(sim.events_fired), every_events=3)
     for delay in range(1, 9):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run(max_events=2)
     sim.run(max_events=2)  # 4 events total: crossed 3
     assert ticks == [3]
@@ -198,7 +201,7 @@ def test_multiple_watchers_fire_at_their_own_cadences():
     sim.add_watcher(lambda: ticks.append(("a", sim.events_fired)), every_events=2)
     sim.add_watcher(lambda: ticks.append(("b", sim.events_fired)), every_events=3)
     for delay in range(1, 7):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     # Both due at 6: registration order breaks the tie.
     assert ticks == [
@@ -210,13 +213,13 @@ def test_watcher_added_between_runs_joins_cumulative_cadence():
     sim = Simulator()
     ticks = []
     for delay in range(1, 6):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     assert sim.events_fired == 5
     # Registered at count 5 with every=4: the next multiple is 8, not 9.
     sim.add_watcher(lambda: ticks.append(sim.events_fired), every_events=4)
     for delay in range(1, 6):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     assert sim.events_fired == 10
     assert ticks == [8]
@@ -230,7 +233,7 @@ def test_watcher_exception_leaves_event_count_consistent():
 
     sim.add_watcher(boom, every_events=3)
     for delay in range(1, 6):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     with pytest.raises(RuntimeError):
         sim.run()
     assert sim.events_fired == 3  # counted up to and including the trigger
@@ -238,7 +241,7 @@ def test_watcher_exception_leaves_event_count_consistent():
 
 def _run_n_events(sim, n):
     for delay in range(1, n + 1):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
 
 
@@ -275,7 +278,7 @@ def test_watcher_every_events_must_be_positive():
 def test_max_events_is_per_run_call():
     sim = Simulator()
     for delay in range(1, 6):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run(max_events=2)
     assert sim.events_fired == 2
     sim.run(max_events=2)
@@ -286,10 +289,10 @@ def test_max_events_is_per_run_call():
 
 def test_cancelled_event_is_marked_and_pending_drops():
     sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    assert not event.cancelled
-    event.cancel()
-    assert event.cancelled
+    event = sim.call_after(10, lambda _: None, None)
+    assert event in sim._queue and event[2] is not None
+    sim.cancel(event)
+    assert (event[2], event[3]) == (None, None)  # callback and arg blanked
     assert sim.pending == 0
     sim.run()
     assert sim.events_fired == 0
@@ -350,7 +353,7 @@ def test_relay_with_zero_delay_calls_the_entry_point():
 
 def test_relay_at_in_the_past_rejected():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.call_after(10, lambda _: None, None)
     sim.run()
     with pytest.raises(ValueError):
         sim.relay_at(5, print, None, 1, print)
@@ -418,7 +421,7 @@ def test_profiler_hook_sees_each_relay_under_its_callee():
 
 
 # ---------------------------------------------------------------------------
-# ``event_news``: the no-handle records the kernel builds.
+# ``event_news``: the records the kernel builds.
 # ---------------------------------------------------------------------------
 def test_event_news_counts_each_no_handle_record_once():
     sim = Simulator()
@@ -440,13 +443,13 @@ def test_event_news_counts_each_no_handle_record_once():
         # Firing, and re-pushing a relayed record, builds nothing new.
         sim.run()
         assert sim.event_news == before + 1
-    sim.schedule(1, log.append, "handle")
-    sim.schedule_at(sim.now + 2, log.append, "handle_at")
+    # A record kept for cancelling is the same record, counted the same.
+    sim.call_at(sim.now + 2, log.append, "kept")
+    sim.cancel(sim.call_after(1, log.append, "cancelled"))
     sim.run()
-    assert sim.event_news == len(steps)
-    assert log == ["after", "at", "unrelayed", "relayed", "handle",
-                   "handle_at"]
-    assert sim.events_fired == 7  # the relay hop counts as an event
+    assert sim.event_news == len(steps) + 2
+    assert log == ["after", "at", "unrelayed", "relayed", "kept"]
+    assert sim.events_fired == 6  # the relay hop counts as an event
 
 
 def test_event_news_counts_one_record_per_fanout_destination():
@@ -478,16 +481,16 @@ def test_event_news_counts_one_record_per_fanout_destination():
 # ---------------------------------------------------------------------------
 def test_until_past_a_drained_queue_keeps_the_last_event_time():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.call_after(10, lambda _: None, None)
     assert sim.run(until=100) == 10
     assert (sim.now, sim.pending, sim._queue) == (10, 0, [])
 
 
 def test_until_with_only_cancelled_entries_past_it_stops_the_clock():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
-    late = sim.schedule(200, lambda: None)
-    late.cancel()
+    sim.call_after(10, lambda _: None, None)
+    late = sim.call_after(200, lambda _: None, None)
+    sim.cancel(late)
     assert sim.run(until=100) == 100
     assert (sim.now, sim.pending, sim.events_fired) == (100, 0, 1)
     assert len(sim._queue) == 1 and sim._queue[0] is late
@@ -547,7 +550,45 @@ def test_pending_read_during_a_bounded_run_never_counts_the_bound():
     sim = Simulator()
     seen = []
     for delay in (10, 20, 30):
-        sim.schedule(delay, lambda: seen.append(sim.pending))
+        sim.call_after(delay, lambda _: seen.append(sim.pending), None)
     sim.run(until=25)
     assert seen == [2, 1]
     assert sim.pending == 1
+
+
+# ---------------------------------------------------------------------------
+# Cancelling a record that already fired, on a real cell.
+# ---------------------------------------------------------------------------
+def test_fig6_smoke_cancels_fired_timers_and_drains(monkeypatch):
+    # On the fig6 smoke cell an L1 transient timer can fire (the
+    # transaction goes persistent) and completion then cancels that
+    # fired record.  The record is out of the heap by then, so the
+    # cancel must leave the run, and ``pending``, exactly as they were.
+    from repro.exp.library import fig6_smoke_cell
+    from repro.exp.runner import run_cell
+    from repro.obs.trace import Tracer
+
+    cancels = {"queued": 0, "fired": 0}
+    cancel = Simulator.cancel
+
+    def counted(self, record):
+        queued = any(entry is record for entry in self._queue)
+        cancels["queued" if queued else "fired"] += 1
+        cancel(self, record)
+
+    monkeypatch.setattr(Simulator, "cancel", counted)
+    sim = run_cell(fig6_smoke_cell()).raw.machine.sim
+    assert cancels == {"queued": 2030, "fired": 54}
+    assert (sim.events_fired, sim.pending, sim._queue) == (163255, 0, [])
+
+    class RunBounds(Tracer):
+        """Keeps only the kernel's run begin/end events."""
+
+        def emit(self, kind, node=None, addr=None, **fields):
+            if kind.startswith("sim.run."):
+                super().emit(kind, node, addr, **fields)
+
+    tracer = RunBounds()
+    run_cell(fig6_smoke_cell(), tracer=tracer)
+    ends = [event for event in tracer.events if event.kind == "sim.run.end"]
+    assert ends and ends[-1].fields["pending"] == 0

@@ -272,7 +272,7 @@ def test_profiler_ignores_pops_from_another_simulator():
     watched, other = Simulator(), Simulator()
     for sim in (watched, other):
         for delay in (1, 2, 3):
-            sim.schedule(delay, lambda: None)
+            sim.call_after(delay, lambda _: None, None)
     profiler = KernelProfiler().attach(watched)
     try:
         other.run()
@@ -288,7 +288,7 @@ def test_detach_removes_the_rate_watcher():
 
     sim = Simulator()
     for delay in range(1, 11):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     profiler = KernelProfiler(rate_every_events=4).attach(sim)
     try:
         sim.run()
@@ -297,7 +297,7 @@ def test_detach_removes_the_rate_watcher():
     rates = list(profiler._rates)
     assert len(rates) == 3  # attach, then counts 4 and 8
     for delay in range(1, 11):
-        sim.schedule(delay, lambda: None)
+        sim.call_after(delay, lambda _: None, None)
     sim.run()
     assert profiler._rates == rates
     assert sim._watchers == []
