@@ -86,6 +86,10 @@ MANIFEST: Tuple[Entry, ...] = (
           ("topo", "ptp", "--chips", "4", "--procs", "4", "--json")),
     Entry("benchmarks/results/topology_mesh_16x8.json",
           ("topo", "mesh", "--chips", "16", "--procs", "8", "--json")),
+    Entry("benchmarks/results/topology_torus_16x2.json",
+          ("topo", "torus", "--chips", "16", "--procs", "2", "--json")),
+    Entry("benchmarks/results/topology_fattree_16x2.json",
+          ("topo", "fattree", "--chips", "16", "--procs", "2", "--json")),
 )
 
 

@@ -34,13 +34,17 @@ Hot-path design
 precomputed at construction time:
 
 * **routes by routing site** — the compiled topology graph gives each
-  endpoint its *origin* (:meth:`TopologyGraph.origins`): the link onto
-  its routing site (the *head*, if any) and the site's row of shared
-  route tuples (the *tails*), one search and one row per site.  A
-  point-to-point pair is joined to ``(head,) + tail`` on its first
-  ``send`` and memoised in a ``src -> dst -> tuple[Link, ...]`` table,
-  so the table holds only the pairs the traffic uses; a pair outside
-  the graph is a :class:`ConfigError`, never a re-route;
+  endpoint its *origin* (:meth:`TopologyGraph.origin`): the link onto
+  its routing site (the *head*, if any), the site's row of shared route
+  tuples (the *tails*) and the endpoints it reaches over free edges.
+  ``register`` takes the node's origin, so a site is searched when the
+  first controller registers on it, and a machine, whose controllers
+  all route from their chip's hub, runs one search per chip; nothing
+  searches once the machine runs.  A point-to-point pair is joined to
+  ``(head,) + tail`` on its first ``send`` and memoised in a ``src ->
+  dst -> tuple[Link, ...]`` table, so the table holds only the pairs
+  the traffic uses; a pair outside the graph is a
+  :class:`ConfigError`, never a re-route;
 * **two wire sizes** — a message is ``data_msg_bytes`` if its type
   carries data, else ``control_msg_bytes``, read from two ints stored
   at construction;
@@ -71,8 +75,9 @@ precomputed at construction time:
   give, and ``busy_until``/``bytes_carried`` are written once.  Only
   the tails are charged per destination (41,698 of 191,758 hops on
   the 4x4 OLTP cell), buffered hops included.  Without a plain head
-  (a buffered one, or a sender that is its own site or reaches it
-  over a free edge), every hop is charged per destination.
+  (a buffered one, a sender that is its own site, or a destination
+  the sender reaches over free edges), every hop is charged per
+  destination.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId
 from repro.interconnect.message import Message, MessagePool, _msg_ids
-from repro.interconnect.topology import LinkSpec, TopologyGraph
+from repro.interconnect.topology import LinkSpec, Origin, TopologyGraph
 from repro.interconnect.traffic import Scope, TrafficClass, TrafficMeter
 from repro.sim.kernel import Simulator
 
@@ -202,11 +207,11 @@ class Network:
         self._links: Dict[str, Link] = {}
         self._build_links()
         # Each endpoint's origin, ``(head Link or None, its site's row of
-        # shared tails)``, resolved by the graph itself (see
-        # ``TopologyGraph.origins``), so nothing routes per message.
-        self._origins: Dict[NodeId, Tuple[Optional[Link], Dict[NodeId, Tuple[Link, ...]]]] = (
-            self.graph.origins(self._links)
-        )
+        # shared tails, the endpoints it reaches for free)``, taken by
+        # ``register`` (see ``TopologyGraph.origin``), and the rows of
+        # the sites searched so far, so nothing routes per message.
+        self._origins: Dict[NodeId, Origin] = {}
+        self._site_rows: Dict[str, tuple] = {}
         # src -> dst -> tuple of links, joined from the origins by
         # ``route`` on a pair's first send.  Nested so the hot ``send``
         # path needs no per-message (src, dst) key tuple.  Empty routes
@@ -288,12 +293,15 @@ class Network:
                  callee: Optional[Handler] = None) -> None:
         """Attach a controller callback as the endpoint for ``node``.
 
-        A ``handler`` whose whole body is ``sim.call_after(relay_ps,
-        callee, msg)`` (a controller's lookup-latency entry point) may
-        declare that with ``relay_ps > 0`` and ``callee``: untraced
-        deliveries then let the kernel relay the hop
-        (:meth:`Simulator.relay_at`) instead of calling ``handler``.
-        Traced deliveries, and fault wrappers, still call ``handler``.
+        Takes ``node``'s origin (its routing site is searched here if
+        no earlier registration searched it), so every registered sender
+        routes without a search.  A ``handler`` whose whole body is
+        ``sim.call_after(relay_ps, callee, msg)`` (a controller's
+        lookup-latency entry point) may declare that with ``relay_ps >
+        0`` and ``callee``: untraced deliveries then let the kernel relay
+        the hop (:meth:`Simulator.relay_at`) instead of calling
+        ``handler``.  Traced deliveries, and fault wrappers, still call
+        ``handler``.
         """
         if node in self._endpoints:
             raise ConfigError(f"endpoint {node} registered twice")
@@ -301,6 +309,7 @@ class Network:
             raise ConfigError(
                 f"endpoint {node}: a relay needs relay_ps >= 0 and a callee"
             )
+        self._origin(node)
         self._endpoints[node] = (handler, relay_ps, callee if relay_ps else None)
 
     def send(self, msg: Message) -> None:
@@ -476,21 +485,22 @@ class Network:
         """The links a message from ``src`` to ``dst`` crosses, in order.
 
         Joined from ``src``'s origin on the pair's first use, ``(head,) +
-        tail`` (see :meth:`TopologyGraph.origins`), and memoised for
-        ``send``; ``()`` when ``src == dst``.  A pair outside the topology
-        graph raises :class:`ConfigError`.
+        tail`` (see :meth:`TopologyGraph.origin`), and memoised for
+        ``send``; ``()`` when ``src`` reaches ``dst`` over free edges
+        (``src == dst`` included).  A pair outside the topology graph
+        raises :class:`ConfigError`.
         """
         by_dst = self._route_row(src)
         route = None if by_dst is None else by_dst.get(dst)
         if route is not None:
             return route
-        origin = self._origins.get(src)
-        if origin is None or (dst != src and dst not in origin[1]):
+        origin = self._origin(src)
+        if origin is None or (dst not in origin[2] and dst not in origin[1]):
             raise ConfigError(
                 f"topology {self.topology.generator!r} has no route {src} -> {dst}"
             )
-        head, row = origin
-        if dst == src:
+        head, row, local = origin
+        if dst in local:
             route = ()
         elif head is None:
             route = row[dst]
@@ -498,6 +508,16 @@ class Network:
             route = (head,) + row[dst]
         self._routes_from.setdefault(src, {})[dst] = route
         return route
+
+    def _origin(self, node: NodeId) -> Optional[Origin]:
+        """``node``'s origin, taken from the graph on first use; None for
+        a node outside the graph.  Registered nodes have theirs from
+        ``register``; only tests and diagnostics route from others."""
+        origin = self._origins.get(node)
+        if origin is None and node in self.graph.endpoints:
+            origin = self._origins[node] = self.graph.origin(
+                node, self._links, self._site_rows)
+        return origin
 
     def _build_fanout_plan(self, src: NodeId, dests: Tuple[NodeId, ...]):
         """Resolve a broadcast's per-destination endpoints and routes.
@@ -510,7 +530,8 @@ class Network:
         plain :class:`Link`, which ``send_fanout`` charges in closed form,
         each route then being only the site's shared tail; or None, each
         route then being the full one (the sender has no head, its head
-        is buffered, or it is among its own destinations).  The columns
+        is buffered, or it reaches one of its destinations over free
+        edges, itself included).  The columns
         are the tuples the resolving passes build; no per-destination
         pair tuple is stored.  Tails may hold any link,
         :class:`BufferedLink` included.  Routes are the origin's own
@@ -522,19 +543,21 @@ class Network:
         pair).  Every pass over the destinations runs in C (``map``,
         ``zip``, ``Counter``) unless a head must be joined on.
         """
-        origin = self._origins.get(src)
+        origin = self._origin(src)
         if origin is None:
             return None
-        head, row = origin
+        head, row, local = origin
         endpoints = tuple(map(self._endpoint_of, dests))
         routes = tuple(map(row.get, dests))
+        first = head
+        if head is not None and (not head.plain or not dests
+                                 or not local.isdisjoint(dests)):
+            first = None
+            routes = tuple(() if dst in local
+                           else None if tail is None else (head,) + tail
+                           for dst, tail in zip(dests, routes))
         if None in endpoints or None in routes:
             return None
-        first = head
-        if head is not None and (not head.plain or not dests or src in dests):
-            first = None
-            routes = tuple(() if dst == src else (head,) + tail
-                           for dst, tail in zip(dests, routes))
         # Links per scope, in the order a per-hop walk first meets them.
         counts = Counter() if first is None else Counter({first.scope: len(dests)})
         counts.update(map(attrgetter("scope"), chain.from_iterable(routes)))

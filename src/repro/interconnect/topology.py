@@ -39,24 +39,30 @@ tuple ``(link count, total latency, link-name path, vertex)``, so ties
 are broken lexicographically, never by hash order.
 
 The search runs once per *routing site*, not once per endpoint
-(:meth:`TopologyGraph.origins`).  An endpoint ``v`` with a single
-out-edge ``v -> b`` (every L1 and L2 bank has one ``intra:`` egress to
-its chip's hub; MEM and ARB have one free edge to their memory site)
-routes from ``b``: its route to any other endpoint is that edge's link,
-if any, followed by ``b``'s route.  This is exact, not an
-approximation.  Every candidate path from ``v`` starts with the edge,
-so each one's frontier key is ``b``'s key shifted by a constant (one
-more link, the link's latency, the common name prefix), and ties break
-in the same order as from ``b``; no shortest path from ``b`` passes
-through ``v``, whose only way out leads back to ``b``.  An endpoint
-with several out-edges (the chip interface) is its own site, so a
-machine needs three searches per chip: hub, memory site, interface.
+(:meth:`TopologyGraph.origin`).  An endpoint ``v`` whose free-edge
+closure (``v`` and every vertex it reaches over free edges) has exactly
+one distinct link leaving it, ``c -> b`` over link ``L``, routes from
+``b``: its route to an endpoint inside the closure is ``()``, and to any
+other endpoint it is ``L`` (the *head*) followed by ``b``'s route.
+Every L1 and L2 bank has one ``intra:`` egress to its chip's hub; MEM
+and ARB reach each other over free edges and leave their memory site
+only over ``mem-in``, to the same hub.  This is exact, not an
+approximation.  Every candidate path from ``v`` to a vertex outside the
+closure leaves it over ``L``, so each one's frontier key is ``b``'s key
+shifted by a constant (one more link, ``L``'s latency, the common name
+prefix), and ties break in the same order as from ``b``; no shortest
+path from ``b`` re-enters the closure, whose only way out leads back to
+``b``.  An endpoint whose closure has several exits (the chip
+interface) is its own site, so the whole graph needs two searches per
+chip, hub and interface, and a machine, whose controllers all route
+from their chip's hub, one.
 
-Routes are stored by site as well (:meth:`TopologyGraph.origins`): each
-endpoint's *origin* is its head link (the edge's link, or ``None``) and
-its site's one row of routes, the *tails*, shared by every endpoint of
-the site.  A route is joined as ``(head,) + tail`` only where a pair is
-used; the network does that on the pair's first send.
+Routes are stored by site as well: each endpoint's *origin* is its head
+link (or ``None``), its site's one row of routes, the *tails*, shared
+by every endpoint of the site, and the endpoints of its closure.  A
+route is joined as ``(head,) + tail`` only where a pair is used; the
+network takes an endpoint's origin when a controller registers on it,
+and joins a pair on its first send.
 
 Buffering overrides are *diagnostic*: links model unbounded
 store-and-forward queues, and a ``buffer_bytes`` capacity marks where
@@ -70,7 +76,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from fnmatch import fnmatch
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.types import NodeId, NodeKind, ns
@@ -78,6 +84,10 @@ from repro.interconnect.traffic import Scope
 
 #: Canonical JSON schema tag for the ``topo`` CLI link-table document.
 TOPOLOGY_SCHEMA = "repro.topology/1"
+
+#: An endpoint's origin (:meth:`TopologyGraph.origin`): ``(head, row,
+#: local)``.
+Origin = Tuple[Optional[object], Dict[NodeId, tuple], FrozenSet[NodeId]]
 
 
 @dataclasses.dataclass
@@ -368,6 +378,8 @@ class TopologyGraph:
         self.links: Dict[str, LinkSpec] = builder.links
         self.adj: Dict[str, List[Tuple[str, Optional[str]]]] = builder.adj
         self.endpoints: Dict[NodeId, str] = builder.endpoints
+        self._vertex_nodes: Dict[str, NodeId] = {
+            vertex: node for node, vertex in builder.endpoints.items()}
 
     # ------------------------------------------------------------------
     def _sssp(self, src_vertex: str) -> Dict[str, Tuple[str, ...]]:
@@ -407,53 +419,70 @@ class TopologyGraph:
                                         names + (link_name,), nxt))
         return out
 
-    def origins(self, links: Optional[Dict[str, object]] = None
-                ) -> Dict[NodeId, Tuple[Optional[object], Dict[NodeId, tuple]]]:
-        """Every endpoint's *origin*: ``(head, row)``.
+    def origin(self, node: NodeId, links: Optional[Dict[str, object]] = None,
+               rows: Optional[Dict[str, tuple]] = None) -> Origin:
+        """Endpoint ``node``'s *origin*: ``(head, row, local)``.
 
-        ``row`` is the endpoint's routing site's row: each destination
+        ``local`` is the set of endpoints in ``node``'s free-edge closure
+        (``node`` itself included); the route to each of them is ``()``.
+        ``row`` is ``node``'s routing site's row: each destination
         endpoint the site reaches, mapped to the site's route to it (the
-        *tail*).  ``head`` is the link of the endpoint's one out-edge onto
-        its site, or ``None`` when that edge is free or the endpoint is
-        its own site.  The route from ``src`` to ``dst != src`` is
-        ``(head,) + tail`` (just the tail without a head); from ``src``
-        to itself it is ``()``.  Links are named, or ``links[name]`` when
-        a ``links`` mapping is given (the Network passes its :class:`Link`
-        objects).
+        *tail*).  ``head`` is the one link leaving the closure, onto the
+        site, or ``None`` when ``node`` is its own site.  The route from
+        ``node`` to any ``dst`` outside ``local`` is ``(head,) + tail``
+        (just the tail without a head).  Links are named, or
+        ``links[name]`` when a ``links`` mapping is given (the Network
+        passes its :class:`Link` objects).
 
-        One shortest-path search runs per routing site, not per endpoint
-        (exact; see the module docstring), and the endpoints of a site
-        share its one row.  Within a row, destinations reached over one
-        path share its tail tuple, and no tail contains the head of an
-        endpoint on that site: crossing the head means passing through
-        the endpoint, whose only way out leads back to the site.  A
-        destination some endpoint cannot reach raises
-        :class:`ConfigError` naming the first such pair.
+        A site's row is searched once per ``rows`` mapping, which the
+        caller owns (one per Network, or per :meth:`origins` call), and
+        shared by the origins taken with it (exact; see the module
+        docstring).  Within a row, destinations reached over one path
+        share its tail tuple, and no tail contains the head of an
+        endpoint on that site: crossing the head means re-entering the
+        endpoint's closure, whose only way out leads back to the site.
+        A destination ``node`` cannot reach raises :class:`ConfigError`
+        naming the first such pair.
         """
-        endpoints = self.endpoints
+        src_v = self.endpoints[node]
         adj = self.adj
-        # site vertex -> (row, endpoints the site misses, in order)
-        sites: Dict[str, Tuple[Dict[NodeId, tuple], List[NodeId]]] = {}
-        out: Dict[NodeId, Tuple[Optional[object], Dict[NodeId, tuple]]] = {}
-        for src, src_v in endpoints.items():
-            edges = adj[src_v]
-            if len(edges) == 1 and edges[0][0] != src_v:
-                site, head = edges[0]
-            else:
-                site, head = src_v, None
-            entry = sites.get(site)
-            if entry is None:
-                entry = sites[site] = self._site_row(site, links)
-            row, missing = entry
-            for dst in missing:
-                if dst != src:
-                    raise ConfigError(
-                        f"topology {self.generator!r} is not connected: "
-                        f"no route {src} -> {dst}"
-                    )
-            out[src] = (head if head is None or links is None else links[head],
-                        row)
-        return out
+        closure = {src_v}
+        stack = [src_v]
+        exits = []
+        while stack:
+            for nxt, link_name in adj[stack.pop()]:
+                if link_name is not None:
+                    exits.append((nxt, link_name))
+                elif nxt not in closure:
+                    closure.add(nxt)
+                    stack.append(nxt)
+        exits = {edge for edge in exits if edge[0] not in closure}
+        if len(exits) == 1:
+            (site, head), = exits
+        else:
+            site, head = src_v, None
+        vertex_nodes = self._vertex_nodes
+        local = frozenset(vertex_nodes[v] for v in closure if v in vertex_nodes)
+        if rows is None:
+            rows = {}
+        entry = rows.get(site)
+        if entry is None:
+            entry = rows[site] = self._site_row(site, links)
+        row, missing = entry
+        for dst in missing:
+            if dst not in local:
+                raise ConfigError(
+                    f"topology {self.generator!r} is not connected: "
+                    f"no route {node} -> {dst}"
+                )
+        return (head if head is None or links is None else links[head],
+                row, local)
+
+    def origins(self) -> Dict[NodeId, Origin]:
+        """Every endpoint's origin over link names (:meth:`origin`), one
+        search per site."""
+        rows: Dict[str, tuple] = {}
+        return {node: self.origin(node, rows=rows) for node in self.endpoints}
 
     def _site_row(self, site: str, links: Optional[Dict[str, object]]
                   ) -> Tuple[Dict[NodeId, tuple], List[NodeId]]:
@@ -482,15 +511,15 @@ class TopologyGraph:
         dst -> names``: every origin joined in full.
 
         The Network joins only the pairs its traffic uses (see
-        :meth:`origins`); this full table serves :meth:`validate` and the
+        :meth:`origin`); this full table serves :meth:`validate` and the
         route tests.
         """
         table: Dict[NodeId, Dict[NodeId, Tuple[str, ...]]] = {}
-        for src, (head, row) in self.origins().items():
+        for src, (head, row, local) in self.origins().items():
             joined = table[src] = (
                 dict(row) if head is None
                 else {dst: (head,) + tail for dst, tail in row.items()})
-            joined[src] = ()
+            joined.update(dict.fromkeys(local, ()))
         return table
 
     # ------------------------------------------------------------------

@@ -28,7 +28,10 @@ class BlockAllocator:
         return addr
 
     def blocks(self, n: int) -> List[int]:
-        return [self.block() for _ in range(n)]
+        """``n`` fresh block-aligned addresses, in order."""
+        start, step = self._next, self.params.block_size
+        self._next = start + n * step
+        return list(range(start, self._next, step))
 
 
 class Workload:

@@ -3,7 +3,8 @@
 ``Network.send_fanout`` takes its template: untraced, every destination
 receives that very object, so no receiver may mutate it.
 ``_build_fanout_plan`` resolves a destination set from the sender's
-origin (its head link and its routing site's row) with C-level passes;
+origin (its head link, its routing site's row and the endpoints it
+reaches over free edges) with C-level passes;
 :func:`_oracle_plan` is a per-destination loop over full routes, and
 the reference it must equal on every set the token controllers build.  Each
 link stores its serialization delay for the machine's two wire sizes;
@@ -30,19 +31,30 @@ from repro.system import MachineSpec
 
 
 def _egress(net, src):
-    """The link of ``src``'s one out-edge in the graph, if it has one."""
-    edges = net.graph.adj.get(str(src), ())
-    if len(edges) == 1 and edges[0][1] is not None:
-        return net.links_by_name()[edges[0][1]]
+    """The one link leaving ``src``'s free-edge closure, if it has one."""
+    adj = net.graph.adj
+    closure = {str(src)}
+    stack = list(closure)
+    exits = set()
+    while stack:
+        for nxt, link in adj.get(stack.pop(), ()):
+            if link is not None:
+                exits.add((nxt, link))
+            elif nxt not in closure:
+                closure.add(nxt)
+                stack.append(nxt)
+    exits = {link for nxt, link in exits if nxt not in closure}
+    if len(exits) == 1:
+        return net.links_by_name()[exits.pop()]
     return None
 
 
 def _oracle_plan(net, src, dests):
     """``(endpoints, routes, scope_links, first)`` by the per-destination loop.
 
-    ``first`` is the sender's one egress link when it is plain and every
-    route starts on it and never meets it again; the routes column then
-    holds the routes after it.
+    ``first`` is the one link leaving the sender's free-edge closure when
+    it is plain and every route starts on it and never meets it again;
+    the routes column then holds the routes after it.
     """
     endpoint_of = net._endpoint_of
     pairs = []
@@ -194,9 +206,10 @@ def test_plans_equal_the_per_destination_loop(name):
                     if src.kind is not NodeKind.MEM]
     mem_firsts = [first for (src, _dests), first in zip(sets, firsts)
                   if src.kind is NodeKind.MEM]
-    # Memory reaches its routing site over a free edge: it has no head
-    # link, so its broadcasts charge every hop per destination.
-    assert mem_firsts and not any(mem_firsts)
+    # Memory leaves its memory site only over ``mem-in``, its head, so
+    # its broadcasts to the caches charge it in closed form too.
+    assert mem_firsts and all(first.name.startswith("mem-in:")
+                              for first in mem_firsts)
     if name.endswith("buffered-intra"):
         # Caches leave on their own intra-chip links, buffered here, so
         # they are refused a closed-form first hop.
@@ -219,6 +232,13 @@ def test_plan_is_none_without_a_route_or_an_endpoint():
     # An empty route (the sender among its destinations) has no first hop.
     assert _assert_plan_matches_oracle(net, src, (p.l2_bank(0, 0), src)) is None
     assert _assert_plan_matches_oracle(net, src, ()) is None
+    # Nor has a route to an endpoint the sender reaches over free edges:
+    # memory and its arbiter share their memory site.
+    mem, arb = NodeId(NodeKind.MEM, 0), NodeId(NodeKind.ARB, 0)
+    for node in (mem, arb):
+        net.register(node, lambda msg: None)
+    assert _assert_plan_matches_oracle(net, mem, (src,)) is not None
+    assert _assert_plan_matches_oracle(net, mem, (src, arb)) is None
 
 
 def test_no_tail_meets_its_head_again():
@@ -230,12 +250,13 @@ def test_no_tail_meets_its_head_again():
                               topology=Topology.named(generator))
         origins = params.topology.build(params).origins()
         heads = 0
-        for src, (head, row) in origins.items():
+        for src, (head, row, _local) in origins.items():
             if head is not None:
                 heads += 1
                 assert not any(head in tail for tail in row.values()), src
-        # Every L1 and L2 bank: 4 chips x (2 x 2 L1s + the L2 banks).
-        assert heads == 4 * (2 * 2 + params.l2_banks_per_chip), generator
+        # Every L1, L2 bank, MEM and ARB: 4 chips x (2 x 2 L1s + the L2
+        # banks + 2).
+        assert heads == 4 * (2 * 2 + params.l2_banks_per_chip + 2), generator
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Route tests: the graph-built routes vs the Table-3 branch ladder.
 
-``Network`` takes each endpoint's origin from the compiled topology
-graph at construction (``TopologyGraph.origins``: the link onto its
-routing site, and the site's row of routes), so ``send`` never routes
-per message; ``Network.route(src, dst)`` joins a pair on first use.
+``Network.register`` takes each endpoint's origin from the compiled
+topology graph (``TopologyGraph.origin``: the link leaving its free-edge
+closure onto its routing site, the site's row of routes, and the
+endpoints of the closure), so ``send`` never routes per message;
+``Network.route(src, dst)`` joins a pair on first use.
 The graph is the only routing mechanism in the program; the paper's
 Table-3 routing rules survive here as :func:`_path`, a branch ladder
 over link names that these tests replay exhaustively against
@@ -12,11 +13,14 @@ the IFACE/MEM/ARB corner cases the ladder special-cases.  They also pin
 that routing is independent of ``PYTHONHASHSEED`` for every generator
 and that a pair outside the graph is a :class:`ConfigError`.
 
-``TopologyGraph.origins()`` runs one shortest-path search per routing
-site, not per endpoint; the per-endpoint search survives here as
-:func:`_per_endpoint_routes`, the reference the joined table
-(``TopologyGraph.routes()``) must equal on every generator, and the
-work and sharing of the build are pinned.
+One shortest-path search runs per routing site, not per endpoint, and a
+site is searched when a controller registers on it: a built machine,
+whose controllers all route from their chip's hub, runs one search per
+chip, and ``TopologyGraph.routes()`` two (hub and interface).  The
+per-endpoint search survives here as :func:`_per_endpoint_routes`, the
+reference that the joined table (``TopologyGraph.routes()``) and every
+built machine's routes must equal on every generator, and the work and
+sharing of the build are pinned.
 """
 
 import dataclasses
@@ -40,6 +44,8 @@ from repro.interconnect.network import Network
 from repro.interconnect.topology import GENERATORS, Topology, TopologyGraph
 from repro.interconnect.traffic import TrafficMeter
 from repro.sim.kernel import Simulator
+from repro.system import MachineSpec
+from repro.system.machine import Machine
 
 CONFIGS = {
     "1-chip": dict(num_chips=1, procs_per_chip=4),
@@ -119,8 +125,9 @@ def test_route_cache_covers_exactly_the_node_pair_square(config):
     nodes = set(net.graph.endpoints)
     origins = net.graph.origins()
     assert set(origins) == nodes
-    for src, (_head, row) in origins.items():
-        assert set(row) | {src} == nodes
+    for src, (_head, row, local) in origins.items():
+        assert src in local
+        assert set(row) | local == nodes
     stray = NodeId(NodeKind.L1D, 0, 99)
     assert stray not in nodes
     for src in nodes:
@@ -180,17 +187,15 @@ def test_iface_egress_skips_its_own_intra_link():
 
 
 def test_send_uses_cached_route(monkeypatch):
-    # After construction, the hot path must never route on the graph.
+    # Once its endpoints are registered, the hot path must never route
+    # on the graph.
     net, params = build(**CONFIGS["2-chip"])
     sim = net.sim
-
-    def fail(self, src_vertex):  # pragma: no cover - failure path
-        raise AssertionError(f"graph re-routed from {src_vertex}")
-
-    monkeypatch.setattr(TopologyGraph, "_sssp", fail)
     src, dst = params.l1d_of(0), params.l1d_of(params.procs_per_chip)
     seen = []
+    net.register(src, lambda msg: None)
     net.register(dst, seen.append)
+    monkeypatch.setattr(TopologyGraph, "_sssp", _no_search)
     net.send(Message(MsgType.TOK_ACK, src, dst, 0))
     sim.run()
     assert len(seen) == 1
@@ -279,8 +284,9 @@ def test_send_joins_only_the_pairs_it_uses(monkeypatch, cell, pairs):
 
 @pytest.mark.parametrize("procs,bound_mb", [(2, 1.2), (8, 2.5)])
 def test_network_construction_retains_little_memory(procs, bound_mb):
-    # The origins (one row per routing site) are what a machine keeps;
-    # the full per-pair table held 2.35 MB (16x2) and 8.09 MB (16x8).
+    # With every controller endpoint registered, a Network keeps one
+    # row per hub; the full per-pair table held 2.35 MB (16x2) and
+    # 8.09 MB (16x8).
     Network(Simulator(), SystemParams(num_chips=2, procs_per_chip=2),
             TrafficMeter())  # imports and lazy caches outside the window
     params = mesh_params(16, procs)
@@ -290,6 +296,9 @@ def test_network_construction_retains_little_memory(procs, bound_mb):
     try:
         before = tracemalloc.get_traced_memory()[0]
         net = Network(sim, params, meter)
+        for node in net.graph.endpoints:
+            if node.kind is not NodeKind.IFACE:
+                net.register(node, print)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -496,38 +505,98 @@ def _count_sssp(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("config,searches", [
-    ("ptp-4x4", 12), ("mesh-16x2", 48), ("torus-16x2", 48),
-    ("fattree-16x2", 48),
+def _no_search(self, src_vertex):  # pragma: no cover - failure path
+    raise AssertionError(f"graph searched from {src_vertex}")
+
+
+@pytest.mark.parametrize("config", [
+    "ptp-4x4", "mesh-16x2", "torus-16x2", "fattree-16x2",
 ])
-def test_one_search_per_routing_site(monkeypatch, config, searches):
-    # Three routing sites per chip: the crossbar hub (every L1 and L2
-    # bank has one egress link onto it), the memory site (MEM and ARB
-    # hang off it for free) and the chip interface (several out-edges).
+def test_one_search_per_routing_site(monkeypatch, config):
+    # Two routing sites per chip: the crossbar hub (every L1 and L2 bank
+    # has one egress link onto it, and MEM and ARB leave their memory
+    # site only over ``mem-in``, onto it) and the chip interface
+    # (several exits).
     params = ORACLE_CONFIGS[config]()
     graph = params.topology.build(params)
     calls = _count_sssp(monkeypatch)
     graph.routes()
-    assert len(calls) == searches == 3 * params.num_chips
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 2 * params.num_chips
+    assert set(calls) == {
+        vertex for chip in range(params.num_chips)
+        for vertex in (f"hub:{chip}", str(params.iface_of(chip)))}
+
+
+@pytest.mark.parametrize("protocol", ["TokenCMP-dst1", "DirectoryCMP"])
+@pytest.mark.parametrize("config", ["ptp-4x4", "mesh-16x2"])
+def test_a_built_machine_searches_once_per_chip(monkeypatch, config, protocol):
+    # Every controller routes from its chip's hub, and no controller
+    # registers on the interface, so building a machine searches each
+    # hub once, when the first controller of its chip registers.
+    params = ORACLE_CONFIGS[config]()
+    calls = _count_sssp(monkeypatch)
+    net = MachineSpec(params=params, protocol=protocol).build().net
+    assert len(calls) == params.num_chips
+    assert set(calls) == {f"hub:{chip}" for chip in range(params.num_chips)}
+    assert set(net._site_rows) == set(calls)
+
+
+@pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+def test_registered_routes_equal_per_endpoint_search(monkeypatch, config):
+    # A built machine routes every pair of its registered endpoints as
+    # the per-endpoint search does, and without searching again.
+    params = ORACLE_CONFIGS[config]()
+    want = _per_endpoint_routes(params.topology.build(params))
+    for protocol in ("TokenCMP-dst1", "DirectoryCMP"):
+        net = MachineSpec(params=params, protocol=protocol).build().net
+        nodes = list(net._endpoints)
+        assert set(nodes) <= set(want)
+        assert NodeId(NodeKind.MEM, 0) in nodes
+        assert not any(node.kind is NodeKind.IFACE for node in nodes)
+        with monkeypatch.context() as patch:
+            patch.setattr(TopologyGraph, "_sssp", _no_search)
+            for src in nodes:
+                for dst in nodes:
+                    names = tuple(link.name for link in net.route(src, dst))
+                    assert names == want[src][dst], (protocol, src, dst)
+
+
+@pytest.mark.parametrize("protocol", ["TokenCMP-dst1", "DirectoryCMP"])
+def test_no_search_while_a_mesh_machine_runs(monkeypatch, protocol):
+    # Every sender registered before the run, so routing the run's
+    # traffic joins origins and never searches the graph.
+    machine_run = Machine.run
+    runs = []
+
+    def guarded_run(self, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(TopologyGraph, "_sssp", _no_search)
+            runs.append(machine_run(self, *args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(Machine, "run", guarded_run)
+    result = run_cell(Cell(protocol=protocol, workload="oltp", seed=1,
+                           workload_kwargs={"refs_per_proc": 30},
+                           params=mesh_params(8, 2)))
+    assert len(runs) == 1 and result.runtime_ps > 0
 
 
 @pytest.mark.parametrize("config,distinct", [
-    ("ptp-4x4", 112), ("mesh-16x2", 2272),
+    ("ptp-4x4", 36), ("mesh-16x2", 752),
 ])
 def test_equal_routes_share_one_link_tuple(config, distinct):
-    # What stays resident is one row per routing site, shared by the
-    # site's endpoints; within a row, destinations reached over one path
-    # share one tail tuple.  The pin is the rows' distinct tails summed
-    # over sites.  (The full joined table held 501 and 7,505 distinct
-    # routes; the Network now joins only the pairs it sends on.)
+    # What stays resident is one row per routing site searched, shared
+    # by the site's endpoints: on a built machine, one per chip.  Within
+    # a row, destinations reached over one path share one tail tuple.
+    # The pin is the rows' distinct tails summed over sites.  (The full
+    # joined table held 501 and 7,505 distinct routes; the Network joins
+    # only the pairs it sends on.)
     params = ORACLE_CONFIGS[config]()
-    net = Network(Simulator(), params, TrafficMeter())
-    origins = net.graph.origins(net.links_by_name())
-    rows = {id(row): row for _head, row in origins.values()}
-    assert len(rows) == 3 * params.num_chips
+    net = MachineSpec(params=params, protocol="TokenCMP-dst1").build().net
+    rows = [row for row, _missing in net._site_rows.values()]
+    assert len(rows) == params.num_chips
     shared = 0
-    for row in rows.values():
+    for row in rows:
         tails = row.values()
         assert len({id(tail) for tail in tails}) == len(set(tails))
         shared += len(set(tails))

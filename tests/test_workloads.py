@@ -194,6 +194,12 @@ def test_block_allocator_distinct_blocks(params):
     blocks = alloc.blocks(100)
     assert len(set(blocks)) == 100
     assert all(b % params.block_size == 0 for b in blocks)
+    # One range, the same addresses as one ``block()`` call per block,
+    # and the allocator continues after them.
+    one_by_one = BlockAllocator(params)
+    assert blocks == [one_by_one.block() for _ in range(100)]
+    assert alloc.blocks(0) == []
+    assert alloc.block() == one_by_one.block()
 
 
 def test_workload_requires_matching_proc_count(params):
