@@ -19,10 +19,11 @@ Models are pure-Python objects over hashable states; see
 :mod:`repro.verification.token_model` and
 :mod:`repro.verification.dir_model`.
 
-Apart from the states themselves, the explored graph is stored as flat
-int32 arrays indexed by a dense state id: parent ids and, when liveness
-is checked, successor ids in compressed sparse rows (CSR) and the
-reversed edges in a second CSR.
+Each state is stored once, and each of its slots once per distinct
+value at its position.  The explored graph is stored as flat int32
+arrays indexed by a dense state id: parent ids and, when liveness is
+checked, successor ids in compressed sparse rows (CSR) and the reversed
+edges in a second CSR.
 """
 
 from __future__ import annotations
@@ -117,8 +118,11 @@ def check(
     trace for safety violations and deadlocks, and with a culprit state
     for liveness violations.
 
-    Every edge hashes its canonical target once: one ``setdefault``
-    finds its int id or interns it as the next dense id.  The graph is
+    Every edge hashes its canonical target once to find its int id.  A
+    new tuple state has its slots interned, one table per position (see
+    :func:`_intern`), and is hashed again to be stored under the next
+    dense id: equal slots are kept once, however many states share
+    them.  The graph is
     kept in flat ``array('i')`` columns indexed by id: parent ids and,
     for the liveness pass, the successor ids of every state concatenated
     in BFS order with per-state end offsets (CSR).  Labels are an
@@ -143,6 +147,8 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
     if getattr(canonicalize, "__func__", None) is Model.canonicalize:
         canonicalize = None  # the identity: no reduction to apply
     index: Dict[State, int] = {}
+    find = index.get
+    slots: List[Dict] = []  # position -> {slot value: its stored object}
     states: List[State] = []  # id -> state; doubles as the BFS queue
     parent = array("i")  # id -> predecessor id (-1 for initial states)
     label: List[Optional[str]] = []  # id -> label of the discovering edge
@@ -154,7 +160,9 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
     for s in model.initial_states():
         if canonicalize is not None:
             s = canonicalize(s)
-        if index.setdefault(s, nstates) == nstates:
+        if find(s) is None:
+            s = _intern(slots, s)
+            index[s] = nstates
             nstates += 1
             states.append(s)
             parent.append(-1)
@@ -188,8 +196,10 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
         for lbl, nxt in succs:
             if canonicalize is not None:
                 nxt = canonicalize(nxt)
-            nid = index.setdefault(nxt, nstates)
-            if nid == nstates:
+            nid = find(nxt)
+            if nid is None:
+                nxt = _intern(slots, nxt)
+                index[nxt] = nid = nstates
                 nstates += 1
                 states.append(nxt)
                 parent.append(sid)
@@ -206,7 +216,9 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
         sid += 1
 
     if check_liveness:
-        del index, parent, label  # only ``states`` is left to name a culprit
+        # Only ``states`` is left to name a culprit; ``find`` is bound to
+        # ``index``, so it goes too or the dict outlives its name.
+        del index, find, slots, parent, label
         _check_liveness(model, states, succ, succ_end, quiescent)
 
     return CheckResult(
@@ -218,6 +230,23 @@ def _check(model: Model, max_states: Optional[int], check_liveness: bool) -> Che
         elapsed_s=time.perf_counter() - start,
         liveness_checked=check_liveness,
     )
+
+
+def _intern(slots: List[Dict], state: State) -> State:
+    """``state`` with each slot replaced by the equal object already
+    stored at that position, so equal slots are kept once per check.
+
+    Tables are per position: equal values at different positions may
+    print differently (``(0, False) == (0, 0)``), and each keeps its own.
+    One C-level ``setdefault`` per slot is no slower than first skipping
+    the slots that are the parent state's own objects.  A non-tuple state
+    is returned as it is.
+    """
+    if type(state) is not tuple:
+        return state
+    while len(slots) < len(state):
+        slots.append({})
+    return tuple(map(dict.setdefault, slots, state, state))
 
 
 def _check_liveness(model: Model, states, succ, succ_end, quiescent) -> None:

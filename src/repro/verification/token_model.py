@@ -382,9 +382,19 @@ class TokenDstModel(_TokenBase):
                     self._make(state, net=_remove(net, msg), tables=tuple(ntables)),
                 ))
 
-        # Forward tokens to the active persistent request at each site.
-        out += _splice(state, 0, 3, self._forward_moves(state[:3] + (tables,)))
+        # Forward tokens to the active persistent request at each site:
+        # none while no site has one or the network is full.
+        actives = self._actives(tables)
+        if actives is not None and len(net) < self.net_cap:
+            out += _splice(state, 0, 3, self._forward_moves(state[:3] + (actives,)))
         return out
+
+    @_memoized
+    def _actives(self, tables):
+        """The active entry at each site (see :meth:`_active`), or None
+        when no site has one."""
+        actives = tuple(self._active(table) for table in tables)
+        return actives if any(actives) else None
 
     @_memoized
     def _persist_moves(self, key):
@@ -412,38 +422,39 @@ class TokenDstModel(_TokenBase):
 
     @_memoized
     def _forward_moves(self, key):
-        caches, mem, net, tables = key
+        """Forwards to each site's active entry; ``key`` carries those
+        entries, the only part of the tables this group reads."""
+        caches, mem, net, actives = key
         out = []
-        if len(net) < self.net_cap:
-            for site in range(self.n):
-                act = self._active(tables[site])
-                if act is None or act[0] == site:
-                    continue
-                proc, read = act
-                ctok, cown, cval, cdata = caches[site]
-                if ctok == 0:
-                    continue
-                if read:
-                    # All-but-one; a lone owner token moves whole (with data).
-                    give = 1 if (cown and ctok == 1) else ctok - 1
-                else:
-                    give = ctok
-                if give <= 0:
-                    continue
-                ncache, value = _take(caches[site], give, cown)
-                msg = ("tok", proc, give, cown, value if (cown or cval) else None)
-                nc = caches[:site] + (ncache,) + caches[site + 1:]
-                out.append((f"fwd{site}->{proc}", (nc, mem, _add(net, msg))))
-            act = self._active(tables[self.n])
-            if act is not None:
-                proc, read = act
-                mtok, mown, mval = mem
-                give = mtok if not read else (mtok if mown else max(0, mtok - 1))
-                if mtok > 0 and give > 0:
-                    with_owner = mown and give == mtok
-                    msg = ("tok", proc, give, with_owner, mval if mown else None)
-                    nmem = (mtok - give, mown and not with_owner, mval)
-                    out.append((f"fwdmem->{proc}", (caches, nmem, _add(net, msg))))
+        for site in range(self.n):
+            act = actives[site]
+            if act is None or act[0] == site:
+                continue
+            proc, read = act
+            ctok, cown, cval, cdata = caches[site]
+            if ctok == 0:
+                continue
+            if read:
+                # All-but-one; a lone owner token moves whole (with data).
+                give = 1 if (cown and ctok == 1) else ctok - 1
+            else:
+                give = ctok
+            if give <= 0:
+                continue
+            ncache, value = _take(caches[site], give, cown)
+            msg = ("tok", proc, give, cown, value if (cown or cval) else None)
+            nc = caches[:site] + (ncache,) + caches[site + 1:]
+            out.append((f"fwd{site}->{proc}", (nc, mem, _add(net, msg))))
+        act = actives[self.n]
+        if act is not None:
+            proc, read = act
+            mtok, mown, mval = mem
+            give = mtok if not read else (mtok if mown else max(0, mtok - 1))
+            if mtok > 0 and give > 0:
+                with_owner = mown and give == mtok
+                msg = ("tok", proc, give, with_owner, mval if mown else None)
+                nmem = (mtok - give, mown and not with_owner, mval)
+                out.append((f"fwdmem->{proc}", (caches, nmem, _add(net, msg))))
         return out
 
     def _on_complete(self, state, i):

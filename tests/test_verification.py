@@ -545,9 +545,11 @@ def test_checker_restores_the_garbage_collector(make_model):
 
 def test_checker_graph_store_peak_memory_on_token_dst():
     """The explored graph lives in flat int32 arrays, not per-state tuples
-    and predecessor lists: the ``tracemalloc`` peak of the TokenCMP-dst
-    liveness check (model memos included) stays at or under 24 MB.  The
-    list-based store peaked at about 30 MB."""
+    and predecessor lists, and each state slot is stored once per distinct
+    value at its position: the ``tracemalloc`` peak of the TokenCMP-dst
+    liveness check (model memos included) stays at or under 16 MB.  The
+    list-based store peaked at about 30 MB, the int32 store with a fresh
+    copy of every slot at about 18.5 MB."""
     outer = tracemalloc.is_tracing()
     if not outer:
         tracemalloc.start()
@@ -561,7 +563,88 @@ def test_checker_graph_store_peak_memory_on_token_dst():
         if not outer:
             tracemalloc.stop()
     assert result.states == 49464
-    assert peak <= 24_000_000, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 16_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+class FreshSlotsModel(Model):
+    """Two counters (mod 4 and mod 3) kept in one-item slot tuples that
+    every transition builds afresh; records each state the checker
+    stores, as ``check_invariants`` receives it."""
+
+    name = "toy-fresh-slots"
+
+    def __init__(self):
+        self.stored = []
+
+    def initial_states(self):
+        return [((0,), (0,))]
+
+    def transitions(self, state):
+        (a,), (b,) = state
+        return [("a", (((a + 1) % 4,), (b,))), ("b", ((a,), ((b + 1) % 3,)))]
+
+    def check_invariants(self, state):
+        self.stored.append(state)
+
+    def is_quiescent(self, state):
+        return state == ((0,), (0,))
+
+
+def test_checker_stores_one_object_per_distinct_slot_value_per_position():
+    model = FreshSlotsModel()
+    result = check(model)
+    assert result.states == len(model.stored) == 12
+    for pos, distinct in ((0, 4), (1, 3)):
+        assert len({state[pos] for state in model.stored}) == distinct
+        assert len({id(state[pos]) for state in model.stored}) == distinct
+
+
+class EqualButDistinctModel(Model):
+    """Position 0 holds ``(n, False)`` and position 1 ``(n, 0)``: equal
+    slot values that print differently.  The invariant fails at n = 2."""
+
+    name = "toy-equal-slots"
+
+    def initial_states(self):
+        return [((0, False), (0, 0))]
+
+    def transitions(self, state):
+        n = (state[1][0] + 1) % 3
+        return [("step", ((n, False), (n, 0)))]
+
+    def check_invariants(self, state):
+        if state[1][0] == 2:
+            raise VerificationError("n reached 2")
+
+    def is_quiescent(self, state):
+        return True
+
+
+def test_interned_slots_keep_their_own_reprs_in_a_trace():
+    """Slot tables are per position: one shared table would store the
+    initial state's ``(0, 0)`` as the equal ``(0, False)`` before it."""
+    with pytest.raises(VerificationError) as err:
+        check(EqualButDistinctModel())
+    assert str(err.value) == (
+        "toy-equal-slots: invariant violated: n reached 2\n"
+        "counterexample (most recent last):\n"
+        "  initial: ((0, False), (0, 0))\n"
+        "  step -> ((1, False), (1, 0))\n"
+        "  step -> ((2, False), (2, 0))"
+    )
+
+
+def test_checker_stores_non_tuple_states_as_they_are():
+    class Recording(CounterModel):
+        def __init__(self):
+            self.stored = []
+
+        def check_invariants(self, state):
+            self.stored.append(state)
+
+    model = Recording()
+    assert check(model).states == 4
+    assert model.stored == [0, 1, 2, 3]
 
 
 def _sample_states(model, limit=400):
